@@ -116,3 +116,62 @@ func TestChaosSameSeedBitForBit(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignStatsPinned pins per-seed behaviour across commits: the
+// work counters and violation count of a few chaos runs must equal a
+// table recorded from an earlier build. The determinism tests compare
+// two runs of one build, so a change to the executor, the scan shuffle
+// or the fault streams that still reproduces itself would pass them;
+// this test catches it. A deliberate behaviour change regenerates the
+// table and says why in its commit.
+func TestCampaignStatsPinned(t *testing.T) {
+	type pin struct {
+		seed                                      uint64
+		probes, derivs, sent, retracts, violating int
+	}
+	heal := DefaultChaosOptions()
+	heal.Reliable, heal.CheckpointEvery, heal.AntiEntropy = true, 10, true
+	crashGen := faults.DefaultGenOptions()
+	crashGen.Crashes = 3
+	ring := func(n int) func() *netgraph.Topology {
+		return func() *netgraph.Topology { return netgraph.Ring(n) }
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Campaign
+		want []pin // seeds: faults.Mix(1, i), the fvn chaos defaults
+	}{
+		{"ring6", &Campaign{Source: pathVectorSrc, Topo: ring(6), Gen: faults.DefaultGenOptions(), Opts: DefaultChaosOptions()}, []pin{
+			{10451216379200822465, 13317, 5812, 1245, 38, 0},
+			{16834447057089888969, 23483, 9685, 2130, 66, 0},
+			{17911839290282890590, 24905, 10246, 2279, 43, 0},
+			{7862637804313477842, 25449, 10502, 2336, 47, 0},
+		}},
+		{"ring8-selfheal", &Campaign{Source: pathVectorSrc, Topo: ring(8), Gen: crashGen, Opts: heal}, []pin{
+			{10451216379200822465, 33561, 14925, 3873, 55, 0},
+			{16834447057089888969, 59205, 24588, 5658, 132, 0},
+			{17911839290282890590, 59750, 24704, 5164, 106, 0},
+			{7862637804313477842, 35464, 15641, 4091, 116, 0},
+		}},
+		// A seed whose run on ring:8 violates the invariants, so the
+		// violation count is pinned at a nonzero value too.
+		{"ring8-violating", &Campaign{Source: pathVectorSrc, Topo: ring(8), Gen: faults.DefaultGenOptions(), Opts: DefaultChaosOptions()}, []pin{
+			{12606162542674374877, 53910, 22319, 4045, 51, 3},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, want := range tc.want {
+				rep, err := tc.c.RunSeed(context.Background(), want.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := rep.Stats
+				got := pin{want.seed, s.JoinProbes, s.Derivations, s.MessagesSent, s.Retractions, len(rep.Violations)}
+				if got != want {
+					t.Errorf("seed %d: {probes, derivs, sent, retracts, violations}\n got  %v\n want %v",
+						want.seed, got, want)
+				}
+			}
+		})
+	}
+}
