@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fmt-check experiments
+.PHONY: all build vet test race bench perfbench-check chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fmt-check experiments
 
 all: vet build test
 
@@ -18,6 +18,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+
+# perfbench is a module of its own, outside ./...: vet and test it so a
+# change to the packages it imports cannot silently break its build.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 chaos-smoke:
 	$(GO) run -race ./cmd/fvn chaos -n 25 -topo ring:6

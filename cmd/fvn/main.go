@@ -128,7 +128,7 @@ func usage() {
                                              discharge the full obligation suite
   run <file.ndlog> -topo <line|ring|grid|clique|star|tree|rand|pa|fattree>:<n>
       [-pred P] [-loss R] [-dup R] [-delay-jitter J] [-fault-plan F.json]
-      [-seed N] [-prov] [-incremental=false | -scalar-delete]
+      [-seed N] [-prov] [-scalar-delete]
   chaos [file.ndlog] [-topo ring:8] [-n 50] [-seed N] [-hard] [-scalar-delete]
       [-prov] [-json]
       [-replay-seed N | -plan F.json]        fault campaign + invariant checks
@@ -405,7 +405,6 @@ func cmdRun(args []string) error {
 	reliable := fs.Bool("reliable", false, "ack/retransmit message delivery with capped exponential backoff")
 	ckptEvery := fs.Float64("checkpoint-every", 0, "checkpoint base tables every N time units (0: off); restarts restore the last checkpoint")
 	antiEntropy := fs.Bool("anti-entropy", false, "digest-exchange repair after restarts and partition heals")
-	incremental := fs.Bool("incremental", true, "incremental deletion (counting/DRed cascade); -incremental=false falls back to scalar deletion")
 	scalarDelete := fs.Bool("scalar-delete", false, "force the pre-cascade deletion oracle: deletions remove only the named tuple, stale state drains by soft-state expiry")
 	var of obsFlags
 	of.register(fs, true)
@@ -431,7 +430,7 @@ func cmdRun(args []string) error {
 		Reliable:          *reliable,
 		CheckpointEvery:   *ckptEvery,
 		AntiEntropy:       *antiEntropy,
-		ScalarDelete:      *scalarDelete || !*incremental,
+		ScalarDelete:      *scalarDelete,
 		Trace:             tracer,
 		Prov:              of.recorder(),
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // differential test programs: each exercises a different plan shape —
-// recursion with functions, aggregates, negation, and delete rules.
+// recursion with functions, aggregates, negation, delete rules, and
+// independent rules probing one shared index.
 var diffPrograms = []struct {
 	name  string
 	src   string
@@ -50,9 +51,22 @@ r2 pair(@A,C) :- route(@A,B), route(@B,C).
 `, []string{
 		"e(@a,b)", "e(@b,c)", "e(@c,d)", "down(@b,c)",
 	}},
+	// ra and rb are independent components of one stratum that both probe
+	// e through its index on column 0. In parallel evaluation they run on
+	// two goroutines, so an index built lazily on first probe instead of
+	// in the prepare phase is a data race (go test -race).
+	{"sharedindex", `
+materialize(e, infinity, infinity, keys(1,2)).
+materialize(a, infinity, infinity, keys(1,2)).
+materialize(b, infinity, infinity, keys(1,2)).
+ra a(@X,Z) :- e(@X,Y), e(@Y,Z).
+rb b(@X,Z) :- e(@X,Y), e(@Y,Z), X!=Z.
+`, []string{
+		"e(@n1,n2)", "e(@n2,n3)", "e(@n3,n4)", "e(@n4,n1)", "e(@n2,n4)",
+	}},
 }
 
-func buildDiffEngine(t *testing.T, src string, facts []string, scalar, parallel bool) *Engine {
+func buildDiffEngine(t *testing.T, src string, facts []string, mode Mode, parallel bool) *Engine {
 	t.Helper()
 	full := src + "\n"
 	for _, f := range facts {
@@ -66,7 +80,7 @@ func buildDiffEngine(t *testing.T, src string, facts []string, scalar, parallel 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Scalar, e.Parallel = scalar, parallel
+	e.Mode, e.Parallel = mode, parallel
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,32 +99,6 @@ func snapshot(e *Engine) map[string]string {
 	return out
 }
 
-// TestScalarBatchedDifferential runs each program through the scalar
-// oracle and the batched executor (both sequential) and requires
-// identical derived relations AND identical Stats — the batched path
-// must probe the same candidates in the same rounds, not merely reach
-// the same fixpoint.
-func TestScalarBatchedDifferential(t *testing.T) {
-	for _, p := range diffPrograms {
-		t.Run(p.name, func(t *testing.T) {
-			se := buildDiffEngine(t, p.src, p.facts, true, false)
-			be := buildDiffEngine(t, p.src, p.facts, false, false)
-			sSnap, bSnap := snapshot(se), snapshot(be)
-			for pred, want := range sSnap {
-				if bSnap[pred] != want {
-					t.Errorf("%s: scalar %q, batched %q", pred, want, bSnap[pred])
-				}
-			}
-			if se.Stats != be.Stats {
-				t.Errorf("stats differ: scalar %+v, batched %+v", se.Stats, be.Stats)
-			}
-			if se.Stats.NewTuples == 0 {
-				t.Error("degenerate test vector: no tuples derived")
-			}
-		})
-	}
-}
-
 // TestParallelMatchesSequential: parallel evaluation of independent
 // rule components must reach the same relations and do the same work
 // (Derivations, NewTuples, JoinProbes). Iterations is excluded — each
@@ -119,8 +107,8 @@ func TestScalarBatchedDifferential(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, p := range diffPrograms {
 		t.Run(p.name, func(t *testing.T) {
-			seq := buildDiffEngine(t, p.src, p.facts, false, false)
-			par := buildDiffEngine(t, p.src, p.facts, false, true)
+			seq := buildDiffEngine(t, p.src, p.facts, SemiNaive, false)
+			par := buildDiffEngine(t, p.src, p.facts, SemiNaive, true)
 			sSnap, pSnap := snapshot(seq), snapshot(par)
 			for pred, want := range sSnap {
 				if pSnap[pred] != want {
@@ -132,13 +120,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 				seq.Stats.JoinProbes != par.Stats.JoinProbes {
 				t.Errorf("work differs: sequential %+v, parallel %+v", seq.Stats, par.Stats)
 			}
+			if seq.Stats.NewTuples == 0 {
+				t.Error("degenerate test vector: no tuples derived")
+			}
 		})
 	}
 }
 
 // TestDifferentialRandomTopologies stresses the path-vector program on
-// randomized graphs: the scalar oracle and the batched executor must
-// agree on every derived relation regardless of topology.
+// randomized graphs: semi-naive evaluation, which joins each round's
+// delta through the rules' delta plans, must reach the same relations as
+// naive evaluation, which re-runs every full plan each round.
 func TestDifferentialRandomTopologies(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		state := seed * 0x9e3779b97f4a7c15
@@ -157,16 +149,13 @@ func TestDifferentialRandomTopologies(t *testing.T) {
 			c := next(9) + 1
 			facts = append(facts, fmt.Sprintf("link(@%s,%s,%d)", s, d, c))
 		}
-		se := buildDiffEngine(t, pathVectorSrc, facts, true, false)
-		be := buildDiffEngine(t, pathVectorSrc, facts, false, false)
-		sSnap, bSnap := snapshot(se), snapshot(be)
-		for pred, want := range sSnap {
-			if bSnap[pred] != want {
-				t.Fatalf("seed %d, %s:\n scalar  %q\n batched %q", seed, pred, want, bSnap[pred])
+		sn := buildDiffEngine(t, pathVectorSrc, facts, SemiNaive, false)
+		nv := buildDiffEngine(t, pathVectorSrc, facts, Naive, false)
+		sSnap, nSnap := snapshot(sn), snapshot(nv)
+		for pred, want := range nSnap {
+			if sSnap[pred] != want {
+				t.Fatalf("seed %d, %s:\n naive      %q\n semi-naive %q", seed, pred, want, sSnap[pred])
 			}
-		}
-		if se.Stats != be.Stats {
-			t.Fatalf("seed %d: stats differ: scalar %+v, batched %+v", seed, se.Stats, be.Stats)
 		}
 	}
 }

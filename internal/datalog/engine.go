@@ -33,6 +33,7 @@ type Stats struct {
 	Derivations int // tuples derived (including duplicates)
 	NewTuples   int // tuples actually added
 	JoinProbes  int // candidate tuples probed by the plan executor
+	Fallbacks   int // Updates that recomputed from scratch (see FallbackReason)
 }
 
 // Engine evaluates an analyzed NDlog program to fixpoint. Rule bodies run
@@ -43,11 +44,6 @@ type Engine struct {
 	An   *ndlog.Analysis
 	Mode Mode
 
-	// Scalar forces the scalar (tuple-at-a-time) executor instead of the
-	// default batched columnar one. The scalar executor is the retained
-	// oracle: differential tests run the same program both ways and
-	// require identical results, emissions, and probe counts.
-	Scalar bool
 	// ScalarDelete forces Update onto the full-recompute deletion path
 	// (apply the base changes, re-run the program) instead of incremental
 	// counting/DRed maintenance. The recompute path is the retained
@@ -55,12 +51,12 @@ type Engine struct {
 	ScalarDelete bool
 	// Parallel evaluates independent rule components of each stratum
 	// concurrently (per-goroutine executors over read-only shared
-	// tables). Automatically disabled while observability, tracing,
-	// provenance, or the scalar oracle is attached.
+	// tables). Automatically disabled while observability, tracing, or
+	// provenance is attached.
 	Parallel bool
 
 	rels  map[string]*Relation
-	execs map[*ndlog.Plan]store.Runner
+	execs map[*ndlog.Plan]*store.Exec
 	Stats Stats
 
 	// Observability (nil when disabled — see Attach). ruleObs carries
@@ -77,10 +73,13 @@ type Engine struct {
 
 	// Incremental maintenance (see ivm.go). ranOnce marks that a fixpoint
 	// exists to maintain; baseDirty marks base mutations made outside
-	// Update, which invalidate it until the next Run.
+	// Update, which invalidate it until the next Run; fallback is the
+	// reason the last Update recomputed instead of maintaining ("" when it
+	// maintained).
 	ivm       ivmState
 	ranOnce   bool
 	baseDirty bool
+	fallback  string
 }
 
 // ruleObs bundles the per-rule metric handles of one rule.
@@ -138,7 +137,7 @@ func NewFromAnalysis(an *ndlog.Analysis) (*Engine, error) {
 	if an.AggInCycle {
 		return nil, fmt.Errorf("datalog: program aggregates on a recursive cycle; it has no stratified model — execute it on the distributed runtime (internal/dist)")
 	}
-	e := &Engine{An: an, Parallel: true, rels: map[string]*Relation{}, execs: map[*ndlog.Plan]store.Runner{}}
+	e := &Engine{An: an, Parallel: true, rels: map[string]*Relation{}, execs: map[*ndlog.Plan]*store.Exec{}}
 	for pred, arity := range an.Arity {
 		e.rels[pred] = NewRelation(pred, arity)
 	}
@@ -183,41 +182,16 @@ func (e *Engine) Table(pred string) *store.Table { return e.rels[pred] }
 // goroutine: the sequential path shares the engine's, parallel
 // components get their own (executors are single-goroutine state).
 type evalCtx struct {
-	execs map[*ndlog.Plan]store.Runner
-	// execs1 caches scalar executors for the incremental-maintenance
-	// paths, which drive plans with one-tuple deltas or a single seed —
-	// there the batch executor's per-run buffer setup dwarfs the join.
-	execs1 map[*ndlog.Plan]store.Runner
-	stats  *Stats
+	execs map[*ndlog.Plan]*store.Exec
+	stats *Stats
 }
 
 // exec returns the context's cached executor for a plan.
-func (e *Engine) exec(c *evalCtx, p *ndlog.Plan) store.Runner {
+func (e *Engine) exec(c *evalCtx, p *ndlog.Plan) *store.Exec {
 	x, ok := c.execs[p]
 	if !ok {
-		if e.Scalar {
-			x = store.NewExec(p)
-		} else {
-			x = store.NewBatchExec(p)
-		}
-		c.execs[p] = x
-	}
-	return x
-}
-
-// execOne returns the context's cached scalar executor for a plan,
-// regardless of the engine's batch setting (see evalCtx.execs1).
-func (e *Engine) execOne(c *evalCtx, p *ndlog.Plan) store.Runner {
-	if e.Scalar {
-		return e.exec(c, p)
-	}
-	x, ok := c.execs1[p]
-	if !ok {
-		if c.execs1 == nil {
-			c.execs1 = map[*ndlog.Plan]store.Runner{}
-		}
 		x = store.NewExec(p)
-		c.execs1[p] = x
+		c.execs[p] = x
 	}
 	return x
 }
@@ -284,7 +258,7 @@ func (e *Engine) Reset() {
 // and can be called again after base-table changes (including deletions).
 func (e *Engine) Run() error {
 	e.Reset()
-	parallel := e.Parallel && !e.Scalar && e.col == nil && e.tracer == nil && !e.prov.Enabled()
+	parallel := e.Parallel && e.col == nil && e.tracer == nil && !e.prov.Enabled()
 	ctx := &evalCtx{execs: e.execs, stats: &e.Stats}
 	for stratum := range e.An.Strata {
 		if parallel {
@@ -392,7 +366,7 @@ func (e *Engine) runStratumParallel(stratum int) error {
 		wg.Add(1)
 		go func(ci int, comp []*ndlog.Rule) {
 			defer wg.Done()
-			c := &evalCtx{execs: map[*ndlog.Plan]store.Runner{}, stats: &stats[ci]}
+			c := &evalCtx{execs: map[*ndlog.Plan]*store.Exec{}, stats: &stats[ci]}
 			errs[ci] = e.runStratum(c, stratum, comp)
 		}(ci, comp)
 	}
@@ -585,7 +559,7 @@ func (e *Engine) evalRuleCollect(c *evalCtx, r *ndlog.Rule, deltaIdx int, delta 
 
 // collectAnts resolves the tuples currently bound by the plan's scan and
 // delta steps to their provenance ids — the antecedents of the firing.
-func (e *Engine) collectAnts(plan *ndlog.Plan, x store.Runner) []prov.ID {
+func (e *Engine) collectAnts(plan *ndlog.Plan, x *store.Exec) []prov.ID {
 	ants := e.provAnts[:0]
 	for _, si := range plan.AntSteps {
 		st := &plan.Steps[si]

@@ -18,8 +18,7 @@ import (
 // recursive strata by DRed (over-delete the transitive consequences, then
 // re-derive what alternative derivations still support). The full
 // recomputation path (apply changes + Run) is retained as the
-// differential oracle behind the ScalarDelete toggle, mirroring the
-// scalar/batched executor split.
+// differential oracle behind the ScalarDelete toggle.
 
 // Change is one base-table mutation handed to Update.
 type Change struct {
@@ -320,7 +319,8 @@ func (e *Engine) ensureReady(c *evalCtx) error {
 // work is proportional to the consequences of the changes. Falls back to
 // full recomputation when the program shape requires it (delete rules,
 // shared aggregate heads), when ScalarDelete selects the oracle path, or
-// when no fixpoint exists yet to maintain.
+// when no fixpoint exists yet to maintain; each fallback is counted in
+// Stats.Fallbacks and its reason kept for FallbackReason.
 func (e *Engine) Update(changes []Change) error {
 	s := e.ivmStatic()
 	reason := ""
@@ -339,7 +339,9 @@ func (e *Engine) Update(changes []Change) error {
 			}
 		}
 	}
+	e.fallback = reason
 	if reason != "" {
+		e.Stats.Fallbacks++
 		for _, ch := range changes {
 			if ch.Del {
 				e.DeleteBase(ch.Pred, ch.Tup)
@@ -358,6 +360,11 @@ func (e *Engine) Update(changes []Change) error {
 	}
 	return e.drain(c)
 }
+
+// FallbackReason returns why the last Update recomputed the fixpoint
+// from scratch instead of maintaining it incrementally, or "" when it
+// maintained it (and before the first Update).
+func (e *Engine) FallbackReason() string { return e.fallback }
 
 // push enqueues a change at its predicate's stratum.
 func (e *Engine) push(ch chg) {
@@ -498,7 +505,7 @@ func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss
 			if rd.r.Body[i].Neg {
 				plan = rp.NegDelta[i]
 			}
-			x := e.execOne(c, plan)
+			x := e.exec(c, plan)
 			probes, err := x.Run(e, s.deltaBuf[:], nil, func(frame []value.V) error {
 				if len(rd.idxs) > 1 && s.frames.Seen(plan, frame) {
 					return nil
@@ -522,7 +529,7 @@ func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss
 
 // headEffect applies one gained or lost derivation of head to its
 // predicate's maintenance discipline.
-func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x store.Runner, head value.Tuple, loss bool) {
+func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x *store.Exec, head value.Tuple, loss bool) {
 	pred := r.Head.Pred
 	rel := e.rels[pred]
 	switch e.ivm.kind[pred] {
@@ -617,7 +624,7 @@ func (e *Engine) rederive(c *evalCtx, r *ndlog.Rule, head value.Tuple) (prov.ID,
 	for i, col := range rp.HeadSeedCols {
 		seed[i] = head[col]
 	}
-	x := e.execOne(c, plan)
+	x := e.exec(c, plan)
 	buf := make(value.Tuple, len(head))
 	var cause prov.ID
 	found := false

@@ -63,12 +63,16 @@ func requireAgree(t *testing.T, step int, inc, oracle *Engine) {
 
 // churn runs a deterministic insert/retract sequence over universe on an
 // incremental engine and the recompute oracle, checking agreement after
-// every Update. Deletions dominate (the path under test).
+// every Update. Deletions dominate (the path under test). When the
+// program's shape allows maintenance, every incremental Update must have
+// maintained rather than fallen back to recompute, or the comparison
+// would pass vacuously (recompute against recompute).
 func churn(t *testing.T, name, src string, universe []Change, seed uint64, steps int) {
 	t.Helper()
 	inc := newEngine(t, name, src)
 	oracle := newEngine(t, name+"-oracle", src)
 	oracle.ScalarDelete = true
+	maintainable := inc.ivmStatic().fallback == ""
 
 	rng := seed
 	next := func(n int) int {
@@ -123,7 +127,19 @@ func churn(t *testing.T, name, src string, universe []Change, seed uint64, steps
 		if err := oracle.Update(changes); err != nil {
 			t.Fatalf("step %d: oracle: %v", step, err)
 		}
+		if r := inc.FallbackReason(); maintainable && r != "" {
+			t.Fatalf("step %d: incremental engine fell back to recompute: %s", step, r)
+		}
+		if r := oracle.FallbackReason(); r != "scalar-delete oracle" {
+			t.Fatalf("step %d: oracle fallback reason = %q, want the scalar-delete oracle", step, r)
+		}
 		requireAgree(t, step, inc, oracle)
+	}
+	if maintainable && inc.Stats.Fallbacks != 0 {
+		t.Fatalf("incremental engine counted %d fallbacks", inc.Stats.Fallbacks)
+	}
+	if oracle.Stats.Fallbacks == 0 {
+		t.Fatal("oracle never recomputed")
 	}
 }
 

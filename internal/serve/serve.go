@@ -40,8 +40,9 @@ import (
 // Options configures a Server. Zero values take the defaults noted on
 // each field.
 type Options struct {
-	// CachePath backs the persistent verify-result cache; empty runs
-	// with a process-local in-memory cache only.
+	// CachePath is the file backing the verify-result cache shared by
+	// every request and across restarts. Empty disables that cache: each
+	// verify job then reuses results only among its own obligations.
 	CachePath string
 	// MaxConcurrent is the number of jobs allowed to execute at once
 	// (default 8). Further admitted jobs wait in the queue.

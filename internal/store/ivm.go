@@ -11,10 +11,9 @@ import (
 // support counts on Table (the counting algorithm for non-recursive
 // strata) and the DRed re-derivation check (for recursive strata, where a
 // cycle gives a tuple unboundedly many derivation trees and counts are
-// unsound). Both are driven through the Runner interface, so the scalar
-// Exec and the batched BatchExec execute the identical maintenance passes.
+// unsound).
 
-// ErrStop aborts a Runner.Run from inside its emit callback without
+// ErrStop aborts an Exec.Run from inside its emit callback without
 // reporting a failure — the early-exit signal of existence checks such as
 // Rederivable. Run's other results are undefined after a stop; callers
 // must treat the run as a boolean probe.
@@ -106,9 +105,9 @@ func (f *FrameSet) Seen(p *ndlog.Plan, frame []value.V) bool {
 // Rederivable is the DRed re-derivation check: it reports whether head
 // can still be derived by the rule compiled into plan (a HeadSeeded
 // variant) against the current contents of ts. seedCols are the plan's
-// HeadSeedCols; run must be an executor for plan (scalar or batched —
-// both drive the identical pass). The scan stops at the first witness.
-func Rederivable(run Runner, ts TableSource, plan *ndlog.Plan, seedCols []int, head value.Tuple) (bool, error) {
+// HeadSeedCols; run must be an executor for plan. The scan stops at the
+// first witness.
+func Rederivable(run *Exec, ts TableSource, plan *ndlog.Plan, seedCols []int, head value.Tuple) (bool, error) {
 	seed := make([]value.V, len(seedCols))
 	for i, c := range seedCols {
 		seed[i] = head[c]

@@ -291,3 +291,161 @@ r1 two(@A,C,S) :- e(@A,B), e(@B,C), S=1+1, A != C, !block(@A,C).
 		t.Fatalf("delta emissions = %v, want [(a,c,2)]", got)
 	}
 }
+
+// runPlan drives one executor over a compiled plan and returns the head
+// tuples in emission order plus the probe count.
+func runPlan(t *testing.T, x *Exec, plan *ndlog.Plan, src TableSource, delta []value.Tuple) ([]string, int64) {
+	t.Helper()
+	var got []string
+	probes, err := x.Run(src, delta, nil, func([]value.V) error {
+		out := make(value.Tuple, len(plan.HeadExprs))
+		if err := plan.BuildHead(x.Env(), out); err != nil {
+			return err
+		}
+		got = append(got, out.String())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, probes
+}
+
+// TestDeltaArityMismatchRejected: a delta tuple whose arity does not
+// match the plan's delta predicate must be a hard error, not a silently
+// skipped tuple.
+func TestDeltaArityMismatchRejected(t *testing.T) {
+	prog := ndlog.MustParse("x", `
+materialize(e, infinity, infinity, keys(1,2)).
+materialize(two, infinity, infinity, keys(1,2)).
+r1 two(@A,C) :- e(@A,B), e(@B,C).
+`)
+	an, err := ndlog.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New("e", 2, nil, 0)
+	e.Insert(value.Tuple{value.Addr("a"), value.Addr("b")})
+	src := execSource{"e": e}
+	dplan := an.Plans[prog.Rules[0]].Delta[0]
+	bad := []value.Tuple{{value.Addr("a"), value.Addr("b"), value.Int(3)}}
+	if _, err := NewExec(dplan).Run(src, bad, nil, func([]value.V) error { return nil }); err == nil {
+		t.Error("accepted arity-3 delta tuple for arity-2 plan")
+	}
+}
+
+// TestStepKeyErrorResetsBuffer: when a key expression errors mid-build
+// (here: string + int), the reusable key buffer must come back empty,
+// and a subsequent clean Run on the same executor must succeed.
+func TestStepKeyErrorResetsBuffer(t *testing.T) {
+	prog := ndlog.MustParse("x", `
+materialize(in, infinity, infinity, keys(1,2)).
+materialize(e, infinity, infinity, keys(1,2,3)).
+materialize(out, infinity, infinity, keys(1,2)).
+rk out(@A,B) :- in(@A,X), e(@A,X+1,B).
+`)
+	an, err := ndlog.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New("in", 2, nil, 0)
+	in.Insert(value.Tuple{value.Addr("a"), value.Str("s")}) // X+1 will error
+	e := New("e", 3, nil, 0)
+	e.Insert(value.Tuple{value.Addr("a"), value.Int(2), value.Addr("b")})
+	src := execSource{"in": in, "e": e}
+	plan := an.Plans[prog.Rules[0]].Full
+
+	x := NewExec(plan)
+	if _, err := x.Run(src, nil, nil, func([]value.V) error { return nil }); err == nil {
+		t.Fatal("string + int key expression did not error")
+	}
+	if len(x.keyBuf) != 0 {
+		t.Fatalf("keyBuf not reset after key error: %q", x.keyBuf)
+	}
+
+	// Fix the data; the same executor must recover cleanly.
+	in.Delete(value.Tuple{value.Addr("a"), value.Str("s")})
+	in.Insert(value.Tuple{value.Addr("a"), value.Int(1)})
+	if got, _ := runPlan(t, x, plan, src, nil); len(got) != 1 || got[0] != "(a,b)" {
+		t.Fatalf("after recovery: %v, want [(a,b)]", got)
+	}
+}
+
+// TestLookupNestedKeysStayIndependent: Lookup builds its key in a local
+// buffer, so a nested Lookup on the same index (or a mutation between
+// lookups) cannot corrupt an outer lookup's bucket.
+func TestLookupNestedKeysStayIndependent(t *testing.T) {
+	tb := New("lk", 2, []int{0}, 0)
+	tb.Put(tup(1, 7), 0)
+	tb.Put(tup(2, 7), 0)
+	tb.Put(tup(3, 8), 0)
+	outer := tb.Lookup([]int{1}, []value.V{value.Int(7)})
+	if len(outer) != 2 {
+		t.Fatalf("outer bucket = %d tuples, want 2", len(outer))
+	}
+	for _, o := range outer {
+		inner := tb.Lookup([]int{1}, []value.V{value.Int(8)})
+		if len(inner) != 1 || inner[0][0].I != 3 {
+			t.Fatalf("nested lookup inside iteration = %v", inner)
+		}
+		if o[1].I != 7 {
+			t.Fatalf("outer tuple corrupted by nested lookup: %v", o)
+		}
+	}
+	// A Put between lookups must not invalidate key state either.
+	tb.Put(tup(4, 7), 0)
+	if got := len(tb.Lookup([]int{1}, []value.V{value.Int(7)})); got != 3 {
+		t.Fatalf("after put, bucket 7 = %d, want 3", got)
+	}
+}
+
+// TestNestedScanDeleteRegression is the Table.All aliasing regression:
+// a self-join scans p at two nesting depths while the emit callback
+// deletes a p tuple that both the outer and inner scans have yet to
+// reach. The delete must tombstone in place — never compact and shift
+// tuples under the live iterations — so the executor emits exactly the
+// joins visible at probe time.
+func TestNestedScanDeleteRegression(t *testing.T) {
+	prog := ndlog.MustParse("x", `
+materialize(p, infinity, infinity, keys(1,2)).
+materialize(q, infinity, infinity, keys(1,2)).
+rq q(@A,C) :- p(@A,B), p(@B,C).
+`)
+	an, err := ndlog.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := an.Plans[prog.Rules[0]].Full
+
+	p := New("p", 2, nil, 0)
+	for _, pair := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+		p.Insert(value.Tuple{value.Addr(pair[0]), value.Addr(pair[1])})
+	}
+	src := execSource{"p": p}
+	x := NewExec(plan)
+	var got []string
+	_, err = x.Run(src, nil, nil, func([]value.V) error {
+		out := make(value.Tuple, len(plan.HeadExprs))
+		if err := plan.BuildHead(x.Env(), out); err != nil {
+			return err
+		}
+		got = append(got, out.String())
+		// The first emission (a,c) retracts p(c,d) mid-scan. The pending
+		// join (b,c)+(c,d) must no longer fire, and the outer scan must
+		// skip the tombstone rather than walk shifted memory.
+		p.Delete(value.Tuple{value.Addr("c"), value.Addr("d")})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "(a,c)" {
+		t.Errorf("emissions = %v, want [(a,c)]", got)
+	}
+	if p.Len() != 2 {
+		t.Errorf("p.Len = %d, want 2", p.Len())
+	}
+	if all := p.All(); len(all) != 2 {
+		t.Errorf("All after run = %d tuples, want 2", len(all))
+	}
+}

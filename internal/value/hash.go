@@ -2,11 +2,11 @@ package value
 
 // Fingerprint hashing for values and tuples: a splitmix64-mixed stream
 // hash, the same construction the model checker uses for state dedup.
-// Distinct values collide with probability ~2^-64; the batched plan
-// executor uses it both for index probes (verified against the stored
-// key, so collisions cost a comparison, never correctness) and for
-// join-output fingerprint dedup (unverified, like model-checker state
-// fingerprints).
+// Distinct values collide with probability ~2^-64. Every use is an
+// unverified fingerprint, like a model-checker state fingerprint: table
+// digests and per-tuple fingerprint sets for anti-entropy repair, and
+// derivation-frame dedup in incremental maintenance. Index probes do not
+// hash through it; they look up string-encoded keys (V.AppendKey).
 
 // HashSeed is the canonical initial hash state.
 const HashSeed uint64 = 0x9e3779b97f4a7c15

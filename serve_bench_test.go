@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,12 +20,16 @@ import (
 
 // BenchmarkServeThroughput measures one full verify-suite job through
 // the HTTP service. "uncached" disables result reuse per request, so
-// every job re-proves the suite; "cached" warms the cache once and then
-// serves every obligation from it — the steady-state cost of a
-// resubmitted suite.
+// every job re-proves the suite; "cached" gives the server a persistent
+// cache file, warms it once and then serves every obligation from it —
+// the steady-state cost of a resubmitted suite.
 func BenchmarkServeThroughput(b *testing.B) {
 	run := func(b *testing.B, body string, warm bool) {
-		s, err := serve.New(serve.Options{MaxConcurrent: 8})
+		opts := serve.Options{MaxConcurrent: 8}
+		if warm {
+			opts.CachePath = filepath.Join(b.TempDir(), "verify-cache.jsonl")
+		}
+		s, err := serve.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
