@@ -1004,48 +1004,6 @@ func BenchmarkGrindSplitWorkers(b *testing.B) {
 	}
 }
 
-// --- PR10: incremental view maintenance under churn --------------------------
-
-// benchChurnRing16 measures one delete+reinsert cycle of a ring:16 link
-// under the path-vector program at the engine layer: the counting/DRed
-// incremental path against the retained full-recompute oracle
-// (ScalarDelete). The ratio of the two is the deletion-speedup headline
-// of BENCH_PR10.json.
-func benchChurnRing16(b *testing.B, scalar bool) {
-	eng, err := datalog.New(ndlog.MustParse("pv", core.PathVectorSrc))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ScalarDelete = scalar
-	topo := netgraph.Ring(16)
-	links := topo.LinkTuples()
-	for _, l := range links {
-		if err := eng.Insert("link", l); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-	churn := links[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Update([]datalog.Change{{Pred: "link", Tup: churn, Del: true}}); err != nil {
-			b.Fatal(err)
-		}
-		// The reinsert restores the fixpoint for the next iteration but is
-		// not the path under measurement.
-		b.StopTimer()
-		if err := eng.Update([]datalog.Change{{Pred: "link", Tup: churn}}); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
-func BenchmarkChurnRing16Incremental(b *testing.B) { benchChurnRing16(b, false) }
-func BenchmarkChurnRing16Scalar(b *testing.B)      { benchChurnRing16(b, true) }
-
 // benchDistVectorSrc mirrors internal/dist's scale-test protocol: a
 // single-destination distance vector whose route-through-neighbor rule
 // joins the node's own link tuple, so retraction cascades stay local to

@@ -33,7 +33,6 @@ type Stats struct {
 	Derivations int // tuples derived (including duplicates)
 	NewTuples   int // tuples actually added
 	JoinProbes  int // candidate tuples probed by the plan executor
-	Fallbacks   int // Updates that recomputed from scratch (see FallbackReason)
 }
 
 // Engine evaluates an analyzed NDlog program to fixpoint. Rule bodies run
@@ -44,11 +43,6 @@ type Engine struct {
 	An   *ndlog.Analysis
 	Mode Mode
 
-	// ScalarDelete forces Update onto the full-recompute deletion path
-	// (apply the base changes, re-run the program) instead of incremental
-	// counting/DRed maintenance. The recompute path is the retained
-	// oracle the incremental one is differentially tested against.
-	ScalarDelete bool
 	// Parallel evaluates independent rule components of each stratum
 	// concurrently (per-goroutine executors over read-only shared
 	// tables). Automatically disabled while observability, tracing, or
@@ -70,16 +64,6 @@ type Engine struct {
 	// reusable antecedent scratch buffer of the emit path.
 	prov     *prov.Recorder
 	provAnts []prov.ID
-
-	// Incremental maintenance (see ivm.go). ranOnce marks that a fixpoint
-	// exists to maintain; baseDirty marks base mutations made outside
-	// Update, which invalidate it until the next Run; fallback is the
-	// reason the last Update recomputed instead of maintaining ("" when it
-	// maintained).
-	ivm       ivmState
-	ranOnce   bool
-	baseDirty bool
-	fallback  string
 }
 
 // ruleObs bundles the per-rule metric handles of one rule.
@@ -205,7 +189,6 @@ func (e *Engine) Insert(pred string, t value.Tuple) error {
 	}
 	isNew, err := r.Insert(t)
 	if isNew && err == nil {
-		e.baseDirty = true
 		e.prov.Tuple(0, "", pred, t, 0)
 	}
 	return err
@@ -219,7 +202,6 @@ func (e *Engine) DeleteBase(pred string, t value.Tuple) bool {
 		return false
 	}
 	if r.Delete(t) {
-		e.baseDirty = true
 		e.prov.Retract(0, "", pred, t, "delete_base", 0)
 		return true
 	}
@@ -271,9 +253,6 @@ func (e *Engine) Run() error {
 			return err
 		}
 	}
-	// A fresh fixpoint exists; stale incremental bookkeeping (support
-	// counts, aggregate snapshots) re-initializes on the next Update.
-	e.ranOnce, e.baseDirty, e.ivm.ready = true, false, false
 	return nil
 }
 

@@ -411,164 +411,6 @@ func TestReliableCrashRestartMatchesFaultFreeOracleQuick(t *testing.T) {
 	}
 }
 
-// genChurnProgram is genProgram restricted to the blocks the incremental
-// maintenance path actually handles (delete rules force the engine's
-// full-recompute fallback, which would make the differential vacuous):
-// joins, safe negation, monotone recursion, and every aggregate kind.
-func genChurnProgram(seed uint64) (string, []string) {
-	state := seed*2862933555777941757 + 3037000493
-	next := func(n uint64) uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return (state >> 33) % n
-	}
-	pool := make([]ruleBlock, 0, len(genBlocks))
-	for _, bl := range genBlocks {
-		if !strings.Contains(bl.rules, "delete ") {
-			pool = append(pool, bl)
-		}
-	}
-	include := map[string]bool{}
-	for _, bl := range pool {
-		if seed == 0 || next(2) == 0 {
-			include[bl.name] = true
-		}
-	}
-	if len(include) == 0 {
-		include[pool[int(next(uint64(len(pool))))].name] = true
-	}
-	for _, bl := range pool {
-		if include[bl.name] {
-			for _, dep := range bl.needs {
-				include[dep] = true
-			}
-		}
-	}
-	var b strings.Builder
-	b.WriteString("materialize(e, infinity, infinity, keys(1,2,3)).\n")
-	b.WriteString("materialize(q, infinity, infinity, keys(1,2)).\n")
-	b.WriteString("materialize(g, infinity, infinity, keys(1,2,3)).\n")
-	var preds []string
-	for _, bl := range pool {
-		if include[bl.name] {
-			b.WriteString(bl.decls)
-			b.WriteString(bl.rules)
-			preds = append(preds, bl.preds...)
-		}
-	}
-	return b.String(), preds
-}
-
-// TestIncrementalChurnMatchesRecomputeOnRandomPrograms is the PR's
-// deletion-heavy differential oracle at the engine layer: on generated
-// programs covering joins, negation, recursion, and every aggregate, a
-// deletion-dominated churn of base facts maintained incrementally
-// (counting/DRed Update) must match the retained full-recompute oracle
-// (ScalarDelete) after every batch.
-func TestIncrementalChurnMatchesRecomputeOnRandomPrograms(t *testing.T) {
-	// The base-fact universe the churn draws from: weighted items e,
-	// item ids q, and graph edges g, all at the single node n0.
-	type fact struct {
-		pred string
-		tup  value.Tuple
-	}
-	var universe []fact
-	for x := int64(0); x < 4; x++ {
-		for c := int64(1); c <= 5; c++ {
-			universe = append(universe, fact{"e", value.Tuple{value.Addr("n0"), value.Int(x), value.Int(c)}})
-		}
-		universe = append(universe, fact{"q", value.Tuple{value.Addr("n0"), value.Int(x)}})
-	}
-	for x := int64(0); x < 5; x++ {
-		for y := int64(0); y < 5; y++ {
-			universe = append(universe, fact{"g", value.Tuple{value.Addr("n0"), value.Int(x), value.Int(y)}})
-		}
-	}
-
-	for seed := uint64(0); seed < 25; seed++ {
-		src, preds := genChurnProgram(seed)
-		prog := "churn" + fmt.Sprint(seed)
-
-		inc, err := datalog.New(ndlog.MustParse(prog, src))
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
-		oracle, err := datalog.New(ndlog.MustParse(prog, src))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		oracle.ScalarDelete = true
-
-		rng := seed*6364136223846793005 + 1442695040888963407
-		next := func(n int) int {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return int((rng >> 33) % uint64(n))
-		}
-
-		// Populated starting state, identical on both engines.
-		present := make([]bool, len(universe))
-		for _, eng := range []*datalog.Engine{inc, oracle} {
-			r := rng
-			for i, f := range universe {
-				r = r*6364136223846793005 + 1442695040888963407
-				if (r>>33)%3 != 0 {
-					present[i] = true
-					if err := eng.Insert(f.pred, f.tup); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := eng.Run(); err != nil {
-				t.Fatalf("seed %d: run: %v\n%s", seed, err, src)
-			}
-		}
-
-		agree := func(step int) {
-			t.Helper()
-			for _, pred := range preds {
-				want, got := oracle.Query(pred), inc.Query(pred)
-				if len(want) != len(got) {
-					t.Fatalf("seed %d step %d: %s sizes differ: oracle %d, incremental %d\noracle: %v\nincremental: %v\nprogram:\n%s",
-						seed, step, pred, len(want), len(got), want, got, src)
-				}
-				for i := range want {
-					if !want[i].Equal(got[i]) {
-						t.Fatalf("seed %d step %d: %s[%d]: oracle %v, incremental %v\nprogram:\n%s",
-							seed, step, pred, i, want[i], got[i], src)
-					}
-				}
-			}
-		}
-		agree(-1)
-
-		for step := 0; step < 12; step++ {
-			var changes []datalog.Change
-			for b, batch := 0, 1+next(3); b < batch; b++ {
-				i := next(len(universe))
-				if present[i] {
-					// Delete-heavy: present facts are retracted 3 of 4 times.
-					if next(4) != 0 {
-						present[i] = false
-						changes = append(changes, datalog.Change{Pred: universe[i].pred, Tup: universe[i].tup, Del: true})
-					}
-					continue
-				}
-				present[i] = true
-				changes = append(changes, datalog.Change{Pred: universe[i].pred, Tup: universe[i].tup})
-			}
-			if len(changes) == 0 {
-				continue
-			}
-			if err := inc.Update(changes); err != nil {
-				t.Fatalf("seed %d step %d: incremental update: %v\n%s", seed, step, err, src)
-			}
-			if err := oracle.Update(changes); err != nil {
-				t.Fatalf("seed %d step %d: oracle update: %v", seed, step, err)
-			}
-			agree(step)
-		}
-	}
-}
-
 // TestLossRecoveryByRefresh shows the soft-state design pattern of §4.2:
 // lossy links drop advertisements, but periodically refreshed soft state
 // re-announces them, so the protocol heals.

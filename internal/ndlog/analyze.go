@@ -36,13 +36,6 @@ type Analysis struct {
 	// but execute operationally under the event-driven distributed runtime
 	// — exactly P2's position for routing protocols.
 	AggInCycle bool
-	// RecStrata[s] is true when some rule of stratum s reads a derived
-	// predicate of the same stratum through a positive body atom — the
-	// stratum may hold recursively derived tuples, so incremental deletion
-	// must over-delete and re-derive (DRed) instead of trusting support
-	// counts (a cycle gives a tuple unboundedly many derivation trees).
-	RecStrata []bool
-
 	// LocVars lists, per rule, the distinct location variables of its body
 	// atoms, in first-appearance order. A rule with more than one location
 	// variable requires the distributed localization rewrite.
@@ -85,36 +78,10 @@ func Analyze(prog *Program) (*Analysis, error) {
 	if err := a.stratify(); err != nil {
 		return nil, err
 	}
-	a.markRecursiveStrata()
 	if err := a.buildPlans(); err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-// markRecursiveStrata fills RecStrata: a stratum is recursive when any of
-// its rules reads a same-stratum derived predicate through a positive
-// body atom. (Delete rules are excluded — they run after the stratum
-// fixpoint and derive nothing.)
-func (a *Analysis) markRecursiveStrata() {
-	a.RecStrata = make([]bool, len(a.Strata))
-	for _, r := range a.Prog.Rules {
-		if r.Delete {
-			continue
-		}
-		s := a.StratumOf[r.Head.Pred]
-		if s < 0 || s >= len(a.RecStrata) {
-			continue
-		}
-		for _, l := range r.Body {
-			if l.Atom == nil || l.Neg {
-				continue
-			}
-			if a.Derived[l.Atom.Pred] && a.StratumOf[l.Atom.Pred] == s {
-				a.RecStrata[s] = true
-			}
-		}
-	}
 }
 
 // checkSchemas verifies that every predicate is used with one arity and

@@ -2,7 +2,6 @@ package ndlog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/value"
@@ -175,14 +174,6 @@ type Plan struct {
 	// (StepScan and StepDelta), in step order: the antecedent positions
 	// a provenance recorder reads back via Exec.CurTuple.
 	AntSteps []int
-
-	// CanonSlots maps the rule's variables, in one canonical order shared
-	// by every plan variant of the rule, to this plan's frame slots. A
-	// frame hashed through CanonSlots identifies a derivation (a body
-	// variable assignment) independently of which variant produced it, so
-	// incremental maintenance can deduplicate the frames that a self-join
-	// rule emits once per delta position of the same changed tuple.
-	CanonSlots []int
 }
 
 // RulePlans groups the compiled plan variants of one rule.
@@ -196,16 +187,6 @@ type RulePlans struct {
 	// with a deleted tuple before it is removed it enumerates the lost
 	// ones.
 	Delta []*Plan
-	// NegDelta[i] is the delete-delta counterpart for negated body
-	// literals; non-nil exactly for negated atom literals. The negated
-	// atom is evaluated against the delta tuple instead of probed: run
-	// with a freshly inserted tuple of the negated predicate (before the
-	// insert is stored) it enumerates the derivations the insert kills,
-	// run with a deleted tuple (after the removal) it enumerates the
-	// derivations the removal revives. Negation is safe (every column
-	// determined), so a fully bound pattern matches exactly one tuple and
-	// no residual probe is needed.
-	NegDelta []*Plan
 	// Seeded recomputes an aggregate rule for a single group (its group
 	// variables pre-bound). Nil unless the head has an aggregate and every
 	// non-aggregate head argument is a plain variable.
@@ -232,28 +213,21 @@ type planner struct {
 func (a *Analysis) buildPlans() error {
 	a.Plans = map[*Rule]*RulePlans{}
 	for _, r := range a.Prog.Rules {
-		rp := &RulePlans{
-			Delta:    make([]*Plan, len(r.Body)),
-			NegDelta: make([]*Plan, len(r.Body)),
-		}
+		rp := &RulePlans{Delta: make([]*Plan, len(r.Body))}
 		full, err := planRule(r, -1, nil)
 		if err != nil {
 			return err
 		}
 		rp.Full = full
 		for i, l := range r.Body {
-			if l.Atom == nil {
+			if l.Atom == nil || l.Neg {
 				continue
 			}
 			d, err := planRule(r, i, nil)
 			if err != nil {
 				return err
 			}
-			if l.Neg {
-				rp.NegDelta[i] = d
-			} else {
-				rp.Delta[i] = d
-			}
+			rp.Delta[i] = d
 		}
 		_, aggIdx := r.Head.HeadAgg()
 		if aggIdx >= 0 {
@@ -272,7 +246,6 @@ func (a *Analysis) buildPlans() error {
 			}
 			rp.HeadSeeded, rp.HeadSeedCols = hs, cols
 		}
-		canonizePlans(rp)
 		a.Plans[r] = rp
 	}
 	return nil
@@ -295,38 +268,6 @@ func headSeedVars(r *Rule) ([]string, []int) {
 		}
 	}
 	return vars, cols
-}
-
-// canonizePlans fixes one canonical variable order across all plan
-// variants of a rule (the Full plan's variables, sorted by name) and
-// resolves each variant's CanonSlots against it. Every variant compiles
-// the same body and head, so the variable sets coincide.
-func canonizePlans(rp *RulePlans) {
-	vars := make([]string, 0, len(rp.Full.SlotOf))
-	for v := range rp.Full.SlotOf {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	set := func(p *Plan) {
-		if p == nil {
-			return
-		}
-		p.CanonSlots = make([]int, 0, len(vars))
-		for _, v := range vars {
-			if s, ok := p.SlotOf[v]; ok {
-				p.CanonSlots = append(p.CanonSlots, s)
-			}
-		}
-	}
-	set(rp.Full)
-	for _, p := range rp.Delta {
-		set(p)
-	}
-	for _, p := range rp.NegDelta {
-		set(p)
-	}
-	set(rp.Seeded)
-	set(rp.HeadSeeded)
 }
 
 // aggGroupVars returns the non-aggregate head variables of an aggregate

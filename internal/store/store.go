@@ -43,7 +43,6 @@ type Table struct {
 	holes   int
 	refresh map[string]float64 // key -> last Put time (soft state only)
 	indexes map[string]*Index
-	support map[string]int32 // whole-tuple key -> derivation support count (see ivm.go)
 	keyBuf  []byte
 
 	// pins counts outstanding live scans of this table. While pinned,
@@ -282,7 +281,6 @@ func (t *Table) Clear() {
 	t.byKey = map[string]int{}
 	t.order = nil
 	t.holes = 0
-	t.support = nil
 	if t.refresh != nil {
 		t.refresh = map[string]float64{}
 	}
