@@ -978,31 +978,7 @@ func BenchmarkProveObligations(b *testing.B) {
 	b.Run("workers_4", func(b *testing.B) { run(b, verify.Options{Workers: 4, Cache: true}) })
 }
 
-// BenchmarkGrindSplitWorkers measures parallel split-branch discharge
-// inside a single grind call (the other parallelism axis).
-func BenchmarkGrindSplitWorkers(b *testing.B) {
-	p, err := core.PathVector()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers_%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pr, err := prover.New(p.Theory, "bestPathCostStrong")
-				if err != nil {
-					b.Fatal(err)
-				}
-				pr.EnableWorkers(w)
-				if err := pr.RunScript(`(skosimp*) (expand "bestPathCost") (flatten) (grind)`); err != nil {
-					b.Fatal(err)
-				}
-				if !pr.QED() {
-					b.Fatal("grind failed")
-				}
-			}
-		})
-	}
-}
+// --- PR10: deletion under churn in the distributed runtime -------------------
 
 // benchDistVectorSrc mirrors internal/dist's scale-test protocol: a
 // single-destination distance vector whose route-through-neighbor rule

@@ -123,7 +123,7 @@ func fvnMain(args []string) int {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fvn <translate|verify|run|chaos|why|why-not|mc|algebra|serve|demo> [flags]
   translate <file.ndlog>                     print the logical specification
-  verify <file.ndlog> -theorem T [-script F | -auto] [-workers N]
+  verify <file.ndlog> -theorem T [-script F | -auto]
   verify -suite [-workers N] [-cache=false] [-seed-kernel]
                                              discharge the full obligation suite
   run <file.ndlog> -topo <line|ring|grid|clique|star|tree|rand|pa|fattree>:<n>
@@ -274,7 +274,6 @@ func cmdVerify(args []string) error {
 	theorem := fs.String("theorem", "", "theorem name")
 	script := fs.String("script", "", "proof script file")
 	auto := fs.Bool("auto", false, "use the automated strategy (grind)")
-	workers := fs.Int("workers", 1, "parallel grind split branches")
 	var of obsFlags
 	of.register(fs, false)
 	p, err := parseCmd(fs, args)
@@ -299,7 +298,6 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	pr.Instrument(col, tracer)
-	pr.EnableWorkers(*workers)
 	body := verify.DefaultScript // the automated strategy: skosimp* then grind (arc 5)
 	if !*auto {
 		if *script == "" {

@@ -2,7 +2,6 @@ package prover
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/logic"
 )
@@ -31,7 +30,7 @@ func (p *Prover) Grind() error {
 
 	// Computed once per grind: the sorted auto-expandable definitions (the
 	// sort also makes expansion order deterministic) and, for the interned
-	// kernel, the sub-goal memo. Both are inherited by branch clones.
+	// kernel, the sub-goal memo.
 	p.nonRecN = p.nonRecSortedNames()
 	if !p.structural && p.memo == nil {
 		p.memo = newGrindMemo()
@@ -145,13 +144,16 @@ func (p *Prover) solveBody(g Sequent, depth int) []Sequent {
 		return p.solve(expanded, depth-1)
 	}
 
-	// Branch on the first splittable formula. The branches are independent
-	// sub-proofs, so with workers enabled they run concurrently.
+	// Branch on the first splittable formula; every branch must close.
 	if subs, ok := p.splitGoal(*cur); ok {
 		if len(subs) > grindMaxBranches {
 			return []Sequent{*cur}
 		}
-		return p.solveAll(subs, depth-1)
+		var residual []Sequent
+		for _, sg := range subs {
+			residual = append(residual, p.solve(sg, depth-1)...)
+		}
+		return residual
 	}
 
 	// Heuristic quantifier instantiation.
@@ -162,62 +164,6 @@ func (p *Prover) solveBody(g Sequent, depth int) []Sequent {
 		}
 	}
 	return []Sequent{*cur}
-}
-
-// solveAll discharges independent split branches, returning the
-// concatenated residuals in branch order. Without workers it is a plain
-// sequential loop. With workers, each extra branch runs on a clone when a
-// semaphore slot is free (inline otherwise — acquisition never blocks, so
-// nested splits cannot deadlock), and the clones' step counters and skolem
-// counters are merged in branch order after the join. Branch verdicts and
-// counts do not depend on scheduling: each branch's search is a function of
-// its sub-goal alone, and merging sums are order-insensitive.
-func (p *Prover) solveAll(subs []Sequent, depth int) []Sequent {
-	if p.sem == nil || len(subs) < 2 {
-		var residual []Sequent
-		for _, sg := range subs {
-			residual = append(residual, p.solve(sg, depth)...)
-		}
-		return residual
-	}
-	results := make([][]Sequent, len(subs))
-	clones := make([]*Prover, len(subs))
-	var wg sync.WaitGroup
-	var inline []int
-	for i := 1; i < len(subs); i++ {
-		select {
-		case p.sem <- struct{}{}:
-			c := p.branchClone()
-			clones[i] = c
-			wg.Add(1)
-			go func(i int, c *Prover) {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				results[i] = c.solve(subs[i], depth)
-			}(i, c)
-		default:
-			inline = append(inline, i)
-		}
-	}
-	results[0] = p.solve(subs[0], depth)
-	for _, i := range inline {
-		results[i] = p.solve(subs[i], depth)
-	}
-	wg.Wait()
-	var residual []Sequent
-	for i, r := range results {
-		if c := clones[i]; c != nil {
-			p.PrimSteps += c.PrimSteps
-			p.AutoPrim += c.AutoPrim
-			for base, n := range c.skCounter {
-				if n > p.skCounter[base] {
-					p.skCounter[base] = n
-				}
-			}
-		}
-		residual = append(residual, r...)
-	}
-	return residual
 }
 
 // autoExpand expands all occurrences of non-recursive definitions.

@@ -1,79 +1,19 @@
 package prover
 
-import (
-	"sync"
-
-	"repro/internal/logic"
-)
+import "repro/internal/logic"
 
 // Kernel modes. The default kernel is the interned one: congruence closure
-// keyed by hash-consed term ids, memoized simplification, a grind sub-goal
-// memo, and (when workers are enabled) parallel discharge of independent
-// split branches. UseSeedKernel switches a session back to the seed
-// structural kernel — string-keyed congruence closure, no memos, strictly
-// sequential — which SeqProve exposes as the oracle for equivalence tests.
+// keyed by hash-consed term ids, memoized simplification, and a grind
+// sub-goal memo. UseSeedKernel switches a session back to the seed
+// structural kernel — string-keyed congruence closure, no memos — which
+// SeqProve exposes as the oracle for equivalence tests.
 
 // UseSeedKernel switches the session to the seed structural kernel. It must
 // be called before running tactics.
-func (p *Prover) UseSeedKernel() {
-	p.structural = true
-	p.workers = 0
-	p.sem = nil
-}
-
-// EnableWorkers lets grind discharge up to n independent split branches
-// concurrently. n <= 1 (or the seed kernel) keeps grind sequential. Branch
-// results are merged in branch order, so step counts and verdicts do not
-// depend on scheduling.
-func (p *Prover) EnableWorkers(n int) {
-	if p.structural || n <= 1 {
-		p.workers = 0
-		p.sem = nil
-		return
-	}
-	p.workers = n
-	// The calling goroutine counts as one worker; the semaphore holds the
-	// extra slots. Acquisition is non-blocking (run inline on failure), so
-	// nested splits cannot deadlock.
-	p.sem = make(chan struct{}, n-1)
-}
-
-// Workers returns the configured grind concurrency (0 or 1 = sequential).
-func (p *Prover) Workers() int {
-	if p.workers == 0 {
-		return 1
-	}
-	return p.workers
-}
-
-// branchClone builds a lightweight prover for one grind branch. The clone
-// shares the read-only session state (theory, proved lemmas, grind memo,
-// worker semaphore) and gets its own step counters — zeroed, so the parent
-// can merge the deltas — and its own skolem counter snapshot, so branch
-// skolem names do not depend on sibling scheduling.
-func (p *Prover) branchClone() *Prover {
-	sk := make(map[string]int, len(p.skCounter))
-	for k, v := range p.skCounter {
-		sk[k] = v
-	}
-	return &Prover{
-		Theory:     p.Theory,
-		Theorem:    p.Theorem,
-		proved:     p.proved,
-		skCounter:  sk,
-		started:    p.started,
-		inAuto:     true,
-		structural: p.structural,
-		workers:    p.workers,
-		sem:        p.sem,
-		memo:       p.memo,
-		nonRecN:    p.nonRecN,
-		ctx:        p.ctx,
-	}
-}
+func (p *Prover) UseSeedKernel() { p.structural = true }
 
 // addPrim replays n primitive inferences into the step accounting (memo
-// hits and branch merges).
+// hits).
 func (p *Prover) addPrim(n int) {
 	p.PrimSteps += n
 	if p.inAuto {
@@ -90,10 +30,10 @@ func (p *Prover) newCC() ccEngine {
 }
 
 // SeqProve replays a proof script against the named theorem using the seed
-// structural kernel, strictly sequentially — the seed prover retained as
-// the oracle the randomized equivalence tests and benchmarks compare the
-// interned parallel pipeline against. Like ProveTheorem, it errors if the
-// script fails or leaves goals open.
+// structural kernel — the seed prover retained as the oracle the
+// randomized equivalence tests and benchmarks compare the interned kernel
+// and the parallel obligation pipeline against. Like ProveTheorem, it
+// errors if the script fails or leaves goals open.
 func SeqProve(th *logic.Theory, theorem, script string) (Result, error) {
 	p, err := New(th, theorem)
 	if err != nil {
@@ -113,8 +53,7 @@ func SeqProve(th *logic.Theory, theorem, script string) (Result, error) {
 // search is depth-bounded. Lookups verify full structural equality; the
 // hash only selects the bucket.
 type grindMemo struct {
-	mu sync.Mutex
-	m  map[grindMemoKey][]grindMemoEnt
+	m map[grindMemoKey][]grindMemoEnt
 }
 
 type grindMemoKey struct {
@@ -164,8 +103,6 @@ func sequentEqual(a, b Sequent) bool {
 // identical sub-goal at the same depth.
 func (mm *grindMemo) lookup(g Sequent, depth int) (int, bool) {
 	key := grindMemoKey{hash: sequentHash(g), depth: depth}
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
 	for _, e := range mm.m[key] {
 		if sequentEqual(e.g, g) {
 			return e.prim, true
@@ -176,8 +113,6 @@ func (mm *grindMemo) lookup(g Sequent, depth int) (int, bool) {
 
 func (mm *grindMemo) store(g Sequent, depth, prim int) {
 	key := grindMemoKey{hash: sequentHash(g), depth: depth}
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
 	for _, e := range mm.m[key] {
 		if sequentEqual(e.g, g) {
 			return

@@ -52,13 +52,10 @@ type Prover struct {
 	inAuto bool
 
 	// Kernel configuration (see kernel.go). structural selects the seed
-	// string-keyed kernel; workers/sem bound concurrent grind branches;
-	// memo caches closed grind sub-goals; simp memoizes assert's
+	// string-keyed kernel; memo caches closed grind sub-goals; simp memoizes assert's
 	// ground-term simplification by interned formula id; nonRecN is the
 	// sorted auto-expandable definition list, computed once per Grind.
 	structural bool
-	workers    int
-	sem        chan struct{}
 	memo       *grindMemo
 	simp       map[uint64]logic.Formula
 	nonRecN    []string

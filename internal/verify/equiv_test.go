@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/logic"
-	"repro/internal/prover"
 )
 
 // The equivalence tests pit the interned parallel pipeline against the
@@ -14,7 +13,7 @@ import (
 // on randomized proof obligations: verdicts and step counts must agree
 // exactly, with the cache on and off and at every worker count. This is
 // the soundness regression net for the hash-consing refactor — interning,
-// memoization, and branch parallelism are only allowed to change speed,
+// memoization, and the worker pool are only allowed to change speed,
 // never what is proved or how many inferences it takes.
 
 type eqRng struct{ s uint64 }
@@ -137,34 +136,6 @@ func TestPipelineMatchesSeedKernelOnRandomGoals(t *testing.T) {
 			if !got.Results[i+len(obls)].Cached {
 				t.Errorf("seed=%d: duplicate %d not served from cache", seed, i)
 			}
-		}
-	}
-}
-
-// TestGrindWorkersMatchSeqProve exercises the other parallelism axis —
-// concurrent split branches inside one grind call — against the seed
-// sequential prover on the same random goals.
-func TestGrindWorkersMatchSeqProve(t *testing.T) {
-	obls := randObligations(1234, 40)
-	for _, ob := range obls {
-		seq, seqErr := prover.SeqProve(ob.Theory, ob.Theorem, DefaultScript)
-
-		p, err := prover.New(ob.Theory, ob.Theorem)
-		if err != nil {
-			t.Fatalf("%s: %v", ob.Name, err)
-		}
-		p.EnableWorkers(4)
-		runErr := p.RunScript(DefaultScript)
-		par := p.Summary()
-
-		if (seqErr == nil) != (runErr == nil && par.QED) {
-			t.Errorf("%s: seed proved=%v (err=%v), parallel proved=%v (err=%v)",
-				ob.Name, seqErr == nil, seqErr, runErr == nil && par.QED, runErr)
-			continue
-		}
-		if seq.Steps != par.Steps || seq.PrimSteps != par.PrimSteps || seq.AutoPrim != par.AutoPrim {
-			t.Errorf("%s: seed steps=%d prim=%d auto=%d, parallel steps=%d prim=%d auto=%d",
-				ob.Name, seq.Steps, seq.PrimSteps, seq.AutoPrim, par.Steps, par.PrimSteps, par.AutoPrim)
 		}
 	}
 }
