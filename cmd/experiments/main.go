@@ -518,7 +518,7 @@ func e16() {
 		pulls += rep.Stats.RepairPulls
 	}
 	rs := dist.RecoveryPercentiles(healed)
-	bound := float64(n+1) * dist.DefaultChaosOptions().Lifetime * 1000 // ms
+	bound := float64(n+1) * dist.ChaosLifetime * 1000 // ms
 	meas("self-healing, ring n=%d, 20%% loss, %d seeds: %d invariant violations; recovery p50=%.0fms p95=%.0fms max=%.0fms over %d restarts (%d unrecovered; %d retransmits, %d checkpoints, %d repair pulls)",
 		n, runs, fails, rs.P50, rs.P95, rs.Max, rs.Samples, rs.Unrecovered, retx, ckpts, pulls)
 	meas("soft-state staircase bound (n+1)*Lifetime = %.0fms: p95 is %.1fx below it (strictly under: %v)",

@@ -22,32 +22,40 @@ import (
 // such executions across derived seeds; any violation reports the seed
 // and plan for one-command replay.
 
+// Chaos-run timing, in simulated time units. Every materialize
+// declaration is rewritten to ChaosLifetime (unless Hard), so stale
+// derivations expire instead of persisting forever — the paper's
+// soft-state recovery argument. Refresh waves every chaosRefresh keep
+// live state alive: three per lifetime, so a route outlives two
+// consecutive lost refreshes. Three waves do not stop every blink: a
+// link with ~15% loss can drop every refresh of a route for a whole
+// lifetime, and the route then expires and re-derives. Channel noise
+// never stops, so such a dropout can happen at any time in a run.
+const (
+	ChaosLifetime = 12.0
+	chaosRefresh  = 4.0
+	// chaosQuiet is the gap between the two stability samples: a
+	// converged network shows identical bestPathCost digests chaosQuiet
+	// apart.
+	chaosQuiet = 12.0
+)
+
+// chaosSettle is how long after the plan's last fault a network of the
+// given size gets to reconverge before the first sample. Stale soft state
+// flushes in a staircase: a refresh wave can re-derive a stale downstream
+// entry from a stale upstream one right up until the upstream expires, so
+// a dead chain of depth k takes (k+1)·ChaosLifetime to drain. No
+// derivation chain is deeper than a simple path, so the window is
+// (nodes+1)·ChaosLifetime plus two refresh intervals.
+func chaosSettle(nodes int) float64 {
+	return float64(nodes+1)*ChaosLifetime + 2*chaosRefresh
+}
+
 // ChaosOptions configures one chaos execution.
 type ChaosOptions struct {
 	// Seed drives everything random in the run (scan shuffle, fault
 	// channels); the same seed replays the identical run.
 	Seed uint64
-	// Lifetime is the soft-state lifetime every materialize declaration
-	// is rewritten to (unless Hard), so stale derivations expire instead
-	// of persisting forever — the paper's soft-state recovery argument.
-	Lifetime float64
-	// RefreshInterval spaces the soft-state refresh waves that keep live
-	// state alive (must be < Lifetime).
-	RefreshInterval float64
-	// Settle is how long after the plan's last fault the network gets to
-	// reconverge before the first sample. Stale soft state flushes in a
-	// staircase: a refresh wave can re-derive a stale downstream entry
-	// from a stale upstream one right up until the upstream expires, so a
-	// dead chain of depth k takes (k+1)·Lifetime to drain. Zero (the
-	// default) sizes the window to that bound: (nodes+1)·Lifetime plus
-	// two refresh intervals — no derivation chain is deeper than a
-	// simple path.
-	Settle float64
-	// Quiet is the gap between the two stability samples: a converged
-	// network shows identical bestPathCost digests Quiet apart.
-	Quiet float64
-	// MaxTime bounds the run outright (0: derived from the plan horizon).
-	MaxTime float64
 	// Hard skips the soft-state rewrite and the refresh driver, running
 	// the program exactly as written. Hard-state programs cannot retract
 	// routes through dead links, so under link faults the safety
@@ -84,17 +92,10 @@ type ChaosOptions struct {
 	oracle bool
 }
 
-// DefaultChaosOptions returns the campaign defaults: a short lifetime
-// with three refresh waves per lifetime (so live state never blinks) and
-// the settle window auto-sized to the staleness-flush bound.
-func DefaultChaosOptions() ChaosOptions {
-	return ChaosOptions{
-		Lifetime:        12,
-		RefreshInterval: 4,
-		Settle:          0, // auto: (nodes+1)·Lifetime + 2·RefreshInterval
-		Quiet:           12,
-	}
-}
+// DefaultChaosOptions returns the campaign defaults: soft state with
+// refresh, the self-healing layer off. The run's timing is fixed (see
+// ChaosLifetime and chaosSettle), so the defaults are the zero value.
+func DefaultChaosOptions() ChaosOptions { return ChaosOptions{} }
 
 // Violation is one invariant breach, with the violating tuple in
 // machine-readable form when the check can name one. Msg carries the
@@ -116,7 +117,7 @@ func (v Violation) String() string { return v.Msg }
 type ChaosReport struct {
 	Seed   uint64       `json:"seed"`
 	Plan   *faults.Plan `json:"plan"`
-	Stable bool         `json:"stable"` // bestPathCost digest unchanged across the Quiet window
+	Stable bool         `json:"stable"` // bestPathCost digest unchanged across the chaosQuiet window
 	// Cancelled marks a run stopped mid-simulation by context
 	// cancellation: the invariant checks were skipped (partial state is
 	// inconclusive, not a violation) and only the stats up to the stop
@@ -245,30 +246,12 @@ func runChaos(ctx context.Context, src string, topo *netgraph.Topology, plan *fa
 		o.Reliable, o.CheckpointEvery, o.AntiEntropy = false, 0, false
 		o.ScalarDelete = true
 	}
-	if o.Lifetime <= 0 || o.RefreshInterval <= 0 || o.Quiet <= 0 {
-		d := DefaultChaosOptions()
-		if o.Lifetime <= 0 {
-			o.Lifetime = d.Lifetime
-		}
-		if o.RefreshInterval <= 0 {
-			o.RefreshInterval = d.RefreshInterval
-		}
-		if o.Quiet <= 0 {
-			o.Quiet = d.Quiet
-		}
-	}
-	if o.Settle <= 0 {
-		// Staleness-flush bound: each hop of a dead derivation chain takes
-		// one Lifetime to drain (the wave re-derives hop k from hop k-1
-		// until k-1 expires), and no chain is deeper than a simple path.
-		o.Settle = float64(len(topo.Nodes)+1)*o.Lifetime + 2*o.RefreshInterval
-	}
 	prog, err := ndlog.Parse("chaos", src)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !o.Hard {
-		soften(prog, o.Lifetime)
+		soften(prog, ChaosLifetime)
 	}
 	// The restore-equivalence check re-runs the plan without its node
 	// faults over a pristine copy of the topology (this run mutates topo
@@ -286,15 +269,10 @@ func runChaos(ctx context.Context, src string, topo *netgraph.Topology, plan *fa
 		pristine = copyTopo(topo)
 	}
 	horizon := plan.Horizon()
-	stableFrom := horizon + o.Settle
-	checkAt := stableFrom + o.Quiet
-	maxTime := o.MaxTime
-	if maxTime < checkAt+1 {
-		maxTime = checkAt + 1
-	}
+	stableFrom := horizon + chaosSettle(len(topo.Nodes))
+	checkAt := stableFrom + chaosQuiet
 	net, err := NewNetwork(prog, topo, Options{
-		MaxTime:           maxTime,
-		DefaultLatency:    1,
+		MaxTime:           checkAt + 1,
 		Seed:              o.Seed,
 		LoadTopologyLinks: true,
 		Obs:               o.Obs,
@@ -312,7 +290,7 @@ func runChaos(ctx context.Context, src string, topo *netgraph.Topology, plan *fa
 		return nil, nil, err
 	}
 	if !o.Hard {
-		net.InjectRefresh(o.RefreshInterval, o.RefreshInterval, checkAt+o.RefreshInterval)
+		net.InjectRefresh(chaosRefresh, chaosRefresh, checkAt+chaosRefresh)
 	}
 
 	rep := &ChaosReport{Seed: o.Seed, Plan: plan}

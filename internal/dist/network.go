@@ -17,14 +17,24 @@ import (
 	"repro/internal/value"
 )
 
+// defaultLatency is the message latency when the topology has no link
+// latency for the destination (e.g. multi-hop control messages).
+const defaultLatency = 1.0
+
+// The reliable layer's retransmission schedule (see Options.Reliable):
+// retryLimit attempts with capped exponential backoff retryBase·2^k,
+// capped at retryCap, before the sender gives up.
+const (
+	retryLimit = 5
+	retryBase  = 3 * defaultLatency
+	retryCap   = 8 * retryBase
+)
+
 // Options configures a simulation.
 type Options struct {
 	// MaxTime bounds simulated time; a run that is still generating events
 	// at MaxTime is reported as not converged (oscillation / divergence).
 	MaxTime float64
-	// DefaultLatency is used for message delivery when the topology has no
-	// link latency for the destination (e.g. multi-hop control messages).
-	DefaultLatency float64
 	// LossRate drops each message with this probability (deterministic
 	// pseudo-randomness from Seed). It predates the fault-channel model
 	// below and draws from its own global stream, so existing seeded runs
@@ -65,15 +75,11 @@ type Options struct {
 
 	// Reliable enables the ack/retransmit layer: every message gets a
 	// per-directed-link sequence number, unacked messages are resent with
-	// capped exponential backoff (RetryBase·2^k, capped at RetryCap, with
+	// capped exponential backoff (retryBase·2^k, capped at retryCap, with
 	// seeded jitter from the link's own Substream), receivers suppress
-	// duplicates, and after RetryLimit attempts the sender gives up —
-	// degrading back to plain soft-state semantics. Zero-valued knobs get
-	// defaults (RetryLimit 5, RetryBase 3·DefaultLatency, RetryCap 8×base).
-	Reliable   bool
-	RetryLimit int
-	RetryBase  float64
-	RetryCap   float64
+	// duplicates, and after retryLimit attempts the sender gives up —
+	// degrading back to plain soft-state semantics.
+	Reliable bool
 	// CheckpointEvery > 0 snapshots every live node's base tables (derived
 	// state excluded — it is re-derivable) at that period; a crash-restart
 	// then restores from the last checkpoint instead of an empty store.
@@ -89,7 +95,7 @@ type Options struct {
 
 // DefaultOptions returns reasonable simulation settings.
 func DefaultOptions() Options {
-	return Options{MaxTime: 10_000, DefaultLatency: 1, LoadTopologyLinks: true}
+	return Options{MaxTime: 10_000, LoadTopologyLinks: true}
 }
 
 // Stats aggregates runtime counters.
@@ -305,20 +311,6 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 	}
 	if opts.MaxTime <= 0 {
 		opts.MaxTime = DefaultOptions().MaxTime
-	}
-	if opts.DefaultLatency <= 0 {
-		opts.DefaultLatency = 1
-	}
-	if opts.Reliable {
-		if opts.RetryLimit <= 0 {
-			opts.RetryLimit = 5
-		}
-		if opts.RetryBase <= 0 {
-			opts.RetryBase = 3 * opts.DefaultLatency
-		}
-		if opts.RetryCap <= 0 {
-			opts.RetryCap = 8 * opts.RetryBase
-		}
 	}
 	n := &Network{
 		prog:     localized,
@@ -845,9 +837,9 @@ func (n *Network) latency(src, dst string) (float64, bool) {
 		if l.Latency > 0 {
 			return l.Latency, true
 		}
-		return n.opts.DefaultLatency, true
+		return defaultLatency, true
 	}
-	return n.opts.DefaultLatency, false
+	return defaultLatency, false
 }
 
 // chanState is the resolved noise model of one directed link, with its
@@ -1503,7 +1495,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 				n.restoreCheckpoint(node, fid)
 			}
 			if n.opts.AntiEntropy {
-				n.scheduleRepair(e.node, n.now+n.opts.DefaultLatency)
+				n.scheduleRepair(e.node, n.now+defaultLatency)
 			}
 		case evPartition:
 			inGroup := map[string]bool{}
@@ -1563,7 +1555,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			}
 			if n.opts.AntiEntropy {
 				for _, id := range healEndpoints(n, cut) {
-					n.scheduleRepair(id, n.now+n.opts.DefaultLatency)
+					n.scheduleRepair(id, n.now+defaultLatency)
 				}
 			}
 		case evRelRetx:

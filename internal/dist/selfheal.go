@@ -88,13 +88,13 @@ func (n *Network) chanCfg(src, dst string) faults.Channel {
 }
 
 // scheduleRetx arms the retransmit timer for one pending message:
-// capped exponential backoff (RetryBase·2^(attempt-1), capped at
-// RetryCap) with uniform jitter in [0.5, 1.5) drawn from the link's
+// capped exponential backoff (retryBase·2^(attempt-1), capped at
+// retryCap) with uniform jitter in [0.5, 1.5) drawn from the link's
 // "rel" substream.
 func (n *Network) scheduleRetx(rs *relState, seq int64, attempt int) {
-	d := n.opts.RetryBase * float64(int64(1)<<uint(attempt-1))
-	if d > n.opts.RetryCap {
-		d = n.opts.RetryCap
+	d := retryBase * float64(int64(1)<<uint(attempt-1))
+	if d > retryCap {
+		d = retryCap
 	}
 	d *= 0.5 + rs.rng.Float64()
 	n.schedule(&event{at: n.now + d, kind: evRelRetx, from: rs.src, node: rs.dst, rseq: seq, attempt: attempt})
@@ -102,7 +102,7 @@ func (n *Network) scheduleRetx(rs *relState, seq int64, attempt int) {
 
 // relRetransmit handles a retransmit timer: if the message is still
 // unacked, resend a fresh copy (which faces channel noise like any other)
-// and re-arm with the next backoff step, or give up after RetryLimit
+// and re-arm with the next backoff step, or give up after retryLimit
 // attempts — degrading back to plain soft-state semantics, where the
 // refresh wave eventually re-carries the state.
 func (n *Network) relRetransmit(e *event) {
@@ -114,7 +114,7 @@ func (n *Network) relRetransmit(e *event) {
 	if p == nil {
 		return // acked (or abandoned at sender crash) before the timer fired
 	}
-	if e.attempt > n.opts.RetryLimit {
+	if e.attempt > retryLimit {
 		delete(rs.pending, e.rseq)
 		rs.gaveUp++
 		n.nm.relGiveUps.Add(1)
