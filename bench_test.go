@@ -547,7 +547,12 @@ func BenchmarkA4BFSvsDFS(b *testing.B) {
 // (nil collector/tracer — the hot loops pay only nil checks) and fully
 // enabled (external collector, ring-buffered tracer). The disabled
 // variant is the default configuration and must stay within noise of the
-// pre-instrumentation baseline.
+// pre-instrumentation baseline. Both enabled variants build their
+// collector and sink once, outside the timed loop, so they measure
+// instrumentation rather than sink allocation. Attaching a collector or
+// tracer also turns off the engine's parallel rule components, so
+// engine/enabled runs every stratum sequentially where engine/disabled
+// may not.
 func BenchmarkObsOverhead(b *testing.B) {
 	topo := netgraph.Ring(8)
 	runNet := func(b *testing.B, col *obs.Collector, tr *obs.Tracer) {
@@ -570,7 +575,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		runNet(b, obs.NewCollector(), obs.NewTracer(obs.NewRingSink(1<<16)))
 	})
 
-	runEng := func(b *testing.B, attach bool) {
+	runEng := func(b *testing.B, col *obs.Collector, tr *obs.Tracer) {
 		b.ReportAllocs()
 		links := netgraph.Ring(8).LinkTuples()
 		for i := 0; i < b.N; i++ {
@@ -578,9 +583,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if attach {
-				eng.Attach(obs.NewCollector(), obs.NewTracer(obs.NewRingSink(1<<16)))
-			}
+			eng.Attach(col, tr)
 			for _, t := range links {
 				if err := eng.Insert("link", t); err != nil {
 					b.Fatal(err)
@@ -591,8 +594,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("engine/disabled", func(b *testing.B) { runEng(b, false) })
-	b.Run("engine/enabled", func(b *testing.B) { runEng(b, true) })
+	b.Run("engine/disabled", func(b *testing.B) { runEng(b, nil, nil) })
+	b.Run("engine/enabled", func(b *testing.B) {
+		runEng(b, obs.NewCollector(), obs.NewTracer(obs.NewRingSink(1<<16)))
+	})
 }
 
 // BenchmarkProvOverhead pairs identical distributed runs with provenance
