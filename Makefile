@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench perfbench-check chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fmt-check experiments
+.PHONY: all build vet test race bench perfbench-check chaos-smoke chaos-sweep determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fmt-check experiments
 
 all: vet build test
 
@@ -27,6 +27,11 @@ perfbench-check:
 chaos-smoke:
 	$(GO) run -race ./cmd/fvn chaos -n 25 -topo ring:6
 	$(GO) run -race ./cmd/fvn chaos -n 12 -topo ring:8 -crashes 3 -reliable -checkpoint-every 10 -anti-entropy
+
+# The chaos-campaign benchmark workload's ops 0-199 of seeds 1-10, built
+# as perfbench builds them; fails unless exactly the known ops fail.
+chaos-sweep:
+	FVN_SWEEP=1 $(GO) test -count=1 -run 'TestChaosSweep' -v -timeout 30m ./internal/dist/
 
 determinism-smoke:
 	$(GO) test -race -count=1 -run 'TestSameSeedRunsBitForBitReproducible' ./internal/dist/
