@@ -890,7 +890,7 @@ func (n *Network) sendMessageOpts(src, dst, pred string, tup value.Tuple, cause 
 		rs := n.relFor(src, dst)
 		rs.nextSeq++
 		rseq = rs.nextSeq
-		rs.pending[rseq] = &relPending{pred: pred, tup: tup, cause: cause, repair: repair}
+		rs.pending[rseq] = &relPending{pred: pred, tup: tup, cause: cause, repair: repair, sentAt: n.now}
 		n.scheduleRetx(rs, rseq, 1)
 	}
 	n.transmit(src, dst, pred, tup, cause, nil, rel, rseq, 0, repair)
@@ -962,7 +962,7 @@ func (n *Network) sendBatch(src, dst string, entries []msgEntry) {
 		rs := n.relFor(src, dst)
 		rs.nextSeq++
 		rseq = rs.nextSeq
-		rs.pending[rseq] = &relPending{pred: rep.pred, tup: rep.tup, cause: rep.cause, entries: entries}
+		rs.pending[rseq] = &relPending{pred: rep.pred, tup: rep.tup, cause: rep.cause, entries: entries, sentAt: n.now}
 		n.scheduleRetx(rs, rseq, 1)
 	}
 	n.transmit(src, dst, rep.pred, rep.tup, rep.cause, entries, rel, rseq, 0, false)
@@ -1099,6 +1099,15 @@ func (n *Network) recomputeComps() {
 		label++
 	}
 	n.compVer = n.topoVer
+}
+
+// lifetime returns pred's soft-state lifetime from its materialize
+// declaration, 0 for hard state.
+func (n *Network) lifetime(pred string) float64 {
+	if m, ok := n.prog.MaterializedPred(pred); ok && !m.Lifetime.Infinite {
+		return m.Lifetime.Seconds
+	}
+	return 0
 }
 
 // refreshFire reports whether a no-op re-insert of tup into node's pred

@@ -79,16 +79,12 @@ func (n *Node) table(pred string) *store.Table {
 	}
 	arity := n.net.an.Arity[pred]
 	var keys []int
-	lifetime := 0.0
 	if m, ok := n.net.prog.MaterializedPred(pred); ok {
 		for _, k := range m.Keys {
 			keys = append(keys, k-1)
 		}
-		if !m.Lifetime.Infinite {
-			lifetime = m.Lifetime.Seconds
-		}
 	}
-	t := store.New(pred, arity, keys, lifetime)
+	t := store.New(pred, arity, keys, n.net.lifetime(pred))
 	n.tables[pred] = t
 	return t
 }
@@ -381,7 +377,7 @@ func (n *Node) retract(pred string, tup value.Tuple, force bool, reason string, 
 // node's current state, trying every rule that can head the predicate
 // locally via its head-seeded plan (store.Rederivable). A surviving
 // witness re-records the tuple's provenance under the rule's
-// "/rederive" label — mirroring the engine's DRed re-derivation pass.
+// "/rederive" label.
 func (n *Node) rederive(pred string, tup value.Tuple) (bool, error) {
 	for _, r := range n.net.headRules[pred] {
 		loc, err := n.headLoc(r, tup)

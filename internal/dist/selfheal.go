@@ -22,14 +22,16 @@ import (
 // --- reliable channels ------------------------------------------------------
 
 // relPending is one unacked message awaiting retransmission. entries is
-// non-nil for an epoch-batched message: the whole batch is retransmitted
-// as a unit (pred/tup hold the representative first entry).
+// non-nil for an epoch-batched message: the batch is retransmitted as a
+// unit (pred/tup/cause hold the representative first entry). sentAt is
+// the original send time, against which retransmissions age entries out.
 type relPending struct {
 	pred    string
 	tup     value.Tuple
 	cause   prov.ID
 	repair  bool // anti-entropy pull (kept across retransmits for provenance)
 	entries []msgEntry
+	sentAt  float64
 }
 
 // relState is the reliable-channel state of one directed link: the sender
@@ -104,7 +106,12 @@ func (n *Network) scheduleRetx(rs *relState, seq int64, attempt int) {
 // unacked, resend a fresh copy (which faces channel noise like any other)
 // and re-arm with the next backoff step, or give up after retryLimit
 // attempts — degrading back to plain soft-state semantics, where the
-// refresh wave eventually re-carries the state.
+// refresh wave eventually re-carries the state. A copy carries only the
+// entries younger than their predicate's soft-state lifetime (hard-state
+// entries always go): backoff can put a copy ~100 time units after the
+// send, and an entry its sender has let expire would arrive as fresh
+// state, resurrecting routes through nodes that died since. A message
+// with no entry left is given up.
 func (n *Network) relRetransmit(e *event) {
 	rs := n.rel[e.from+"|"+e.node]
 	if rs == nil {
@@ -114,7 +121,7 @@ func (n *Network) relRetransmit(e *event) {
 	if p == nil {
 		return // acked (or abandoned at sender crash) before the timer fired
 	}
-	if e.attempt > retryLimit {
+	if e.attempt > retryLimit || !n.relAgeOut(p) {
 		delete(rs.pending, e.rseq)
 		rs.gaveUp++
 		n.nm.relGiveUps.Add(1)
@@ -130,6 +137,35 @@ func (n *Network) relRetransmit(e *event) {
 	}
 	n.transmit(rs.src, rs.dst, p.pred, p.tup, p.cause, p.entries, true, e.rseq, e.attempt, p.repair)
 	n.scheduleRetx(rs, e.rseq, e.attempt+1)
+}
+
+// relAgeOut drops the entries of p that have outlived their predicate's
+// soft-state lifetime since the original send, reporting whether any
+// entry is left. The entries slice is shared with copies already in
+// flight, so a shrunk batch gets a new one.
+func (n *Network) relAgeOut(p *relPending) bool {
+	age := n.now - p.sentAt
+	live := func(pred string) bool {
+		lt := n.lifetime(pred)
+		return lt <= 0 || age < lt
+	}
+	if p.entries == nil {
+		return live(p.pred)
+	}
+	var kept []msgEntry
+	for _, en := range p.entries {
+		if live(en.pred) {
+			kept = append(kept, en)
+		}
+	}
+	if len(kept) == 0 {
+		return false
+	}
+	if len(kept) < len(p.entries) {
+		p.entries = kept
+		p.pred, p.tup, p.cause = kept[0].pred, kept[0].tup, kept[0].cause
+	}
+	return true
 }
 
 // relReceive runs at the receiver for every arriving reliable message:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ndlog"
 	"repro/internal/netgraph"
+	"repro/internal/value"
 )
 
 // prefSrc is a program with a non-topology base fact: pref(@n1,100) is
@@ -313,5 +314,49 @@ func TestRestoreCheckCatchesDivergence(t *testing.T) {
 	}
 	if rep.RecoveryMS.P95 < 0 || rep.RecoveryMS.Max < rep.RecoveryMS.P95 {
 		t.Errorf("incoherent percentiles: %+v", rep.RecoveryMS)
+	}
+}
+
+// TestRetransmitAgesOutExpiredEntries: a retransmission carries only the
+// entries younger than their predicate's soft-state lifetime, hard-state
+// entries always go, and a message left with no entry is given up and
+// counted as a give-up, so the per-link accounting still balances.
+func TestRetransmitAgesOutExpiredEntries(t *testing.T) {
+	const src = `
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(ad, 10, infinity, keys(1,2)).
+materialize(seen, infinity, infinity, keys(1,2)).
+r1 seen(@S,D) :- ad(@S,D).
+`
+	net := mustNet(t, src, netgraph.Line(2), Options{Seed: 1, LoadTopologyLinks: true, Reliable: true})
+	tup := value.Tuple{value.Addr("n1"), value.Addr("n0")}
+	batch := []msgEntry{{pred: "ad", tup: tup}, {pred: "seen", tup: tup}}
+	p := &relPending{pred: "ad", tup: tup, entries: batch}
+
+	net.now = 9.5
+	if !net.relAgeOut(p) || len(p.entries) != 2 {
+		t.Fatalf("at age 9.5 of lifetime 10: kept %d entries, want 2", len(p.entries))
+	}
+	net.now = 10
+	if !net.relAgeOut(p) || len(p.entries) != 1 || p.pred != "seen" {
+		t.Fatalf("at age 10: kept %v, want only the hard-state entry", p.entries)
+	}
+	if batch[0].pred != "ad" || batch[1].pred != "seen" {
+		t.Errorf("aging out rewrote the batch shared with in-flight copies: %v", batch)
+	}
+
+	net.now = 0
+	net.sendMessage("n0", "n1", "ad", tup, 0)
+	net.now = 10
+	net.relRetransmit(&event{kind: evRelRetx, from: "n0", node: "n1", rseq: 1, attempt: 1})
+	s := net.Stats()
+	if s.Retransmits != 0 || s.RelGiveUps != 1 {
+		t.Errorf("expired message: retransmits=%d give-ups=%d, want 0 and 1", s.Retransmits, s.RelGiveUps)
+	}
+	for _, rl := range net.RelLinkStats() {
+		if rl.Assigned != rl.Acked+rl.GaveUp+rl.Pending {
+			t.Errorf("link %s: assigned %d != acked %d + gave_up %d + pending %d",
+				rl.Link, rl.Assigned, rl.Acked, rl.GaveUp, rl.Pending)
+		}
 	}
 }

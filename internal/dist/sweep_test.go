@@ -16,11 +16,8 @@ import (
 // is a plain run that loses to refresh starvation: a link with ~15% loss
 // drops every refresh of a route for a whole lifetime, and the route
 // expires after the plan's last fault, so a stability sample lands on
-// the dropout. Seed 6 op 103 (plan 15577779263007795011) is a
-// self-healing run in which a retransmitted batch brings back routes
-// through a node that crashed for good, long after they expired.
+// the dropout.
 var sweepKnownFailures = map[uint64][]int{
-	6: {103},
 	9: {188},
 }
 
