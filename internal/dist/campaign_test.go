@@ -147,9 +147,8 @@ func TestCampaignStatsPinned(t *testing.T) {
 			{17911839290282890590, 24905, 10246, 2279, 43, 0},
 			{7862637804313477842, 25449, 10502, 2336, 47, 0},
 		}},
-		// Regenerated when retransmissions stopped carrying entries older
-		// than their soft-state lifetime. 15577779263007795011 (benchmark
-		// seed 6, op 103) failed liveness before that change.
+		// 15577779263007795011 (benchmark seed 6, op 103) is a run whose
+		// late retransmissions must not bring back expired routes.
 		{"ring8-selfheal", &Campaign{Source: pathVectorSrc, Topo: ring(8), Gen: crashGen, Opts: heal}, []pin{
 			{10451216379200822465, 33398, 14874, 3761, 57, 0},
 			{16834447057089888969, 59313, 24631, 5584, 124, 0},

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -60,7 +60,7 @@ func TestChaosSweep(t *testing.T) {
 					failed = append(failed, op)
 				}
 			}
-			if want := sweepKnownFailures[seed]; !reflect.DeepEqual(failed, want) {
+			if want := sweepKnownFailures[seed]; !slices.Equal(failed, want) {
 				t.Errorf("failing ops %v, want %v", failed, want)
 			}
 		})

@@ -52,9 +52,10 @@ type Prover struct {
 	inAuto bool
 
 	// Kernel configuration (see kernel.go). structural selects the seed
-	// string-keyed kernel; memo caches closed grind sub-goals; simp memoizes assert's
-	// ground-term simplification by interned formula id; nonRecN is the
-	// sorted auto-expandable definition list, computed once per Grind.
+	// string-keyed kernel; memo caches closed grind sub-goals; simp
+	// memoizes assert's ground-term simplification by interned formula
+	// id; nonRecN is the sorted auto-expandable definition list, computed
+	// once per Grind.
 	structural bool
 	memo       *grindMemo
 	simp       map[uint64]logic.Formula
