@@ -32,6 +32,7 @@ import (
 // lifetime, and the route then expires and re-derives. Channel noise
 // never stops, so such a dropout can happen at any time in a run.
 const (
+	// ChaosLifetime is the soft-state lifetime of every chaos run.
 	ChaosLifetime = 12.0
 	chaosRefresh  = 4.0
 	// chaosQuiet is the gap between the two stability samples: a

@@ -109,7 +109,7 @@ func (n *Network) scheduleRetx(rs *relState, seq int64, attempt int) {
 // refresh wave eventually re-carries the state. A copy carries only the
 // entries younger than their predicate's soft-state lifetime (hard-state
 // entries always go): backoff can put a copy ~100 time units after the
-// send, and an entry its sender has let expire would arrive as fresh
+// send, and an entry older than its lifetime would arrive as fresh
 // state, resurrecting routes through nodes that died since. A message
 // with no entry left is given up.
 func (n *Network) relRetransmit(e *event) {
