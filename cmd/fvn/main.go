@@ -124,7 +124,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fvn <translate|verify|run|chaos|why|why-not|mc|algebra|serve|demo> [flags]
   translate <file.ndlog>                     print the logical specification
   verify <file.ndlog> -theorem T [-script F | -auto]
-  verify -suite [-workers N] [-cache=false] [-seed-kernel]
+  verify -suite [-workers N] [-cache=false]
                                              discharge the full obligation suite
   run <file.ndlog> -topo <line|ring|grid|clique|star|tree|rand|pa|fattree>:<n>
       [-pred P] [-loss R] [-dup R] [-delay-jitter J] [-fault-plan F.json]
@@ -218,7 +218,6 @@ func cmdVerifySuite(args []string) error {
 	workers := fs.Int("workers", 1, "concurrent obligation discharge")
 	cacheOn := fs.Bool("cache", true, "reuse results for identical obligations")
 	cacheFile := fs.String("cache-file", "", "persistent result cache (JSONL; shared across runs and with `fvn serve`)")
-	seedKernel := fs.Bool("seed-kernel", false, "use the seed structural kernel (sequential reference)")
 	var of obsFlags
 	of.register(fs, false)
 	if err := fs.Parse(args); err != nil {
@@ -243,12 +242,11 @@ func cmdVerifySuite(args []string) error {
 	}
 	col := obs.NewCollector()
 	pl := verify.NewPipeline(verify.Options{
-		Workers:    *workers,
-		Cache:      *cacheOn,
-		Persist:    persist,
-		Structural: *seedKernel,
-		Col:        col,
-		Tracer:     tracer,
+		Workers: *workers,
+		Cache:   *cacheOn,
+		Persist: persist,
+		Col:     col,
+		Tracer:  tracer,
 	})
 	rep := pl.Run(ctx, obls)
 	rep.WriteTable(stdout)

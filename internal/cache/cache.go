@@ -2,9 +2,11 @@
 // versioned, append-only JSONL file with an in-memory index, shared by
 // every request of a `fvn serve` process and — because the file is the
 // source of truth — across processes and restarts. The verify pipeline
-// keys proof results by theory fingerprint + interned goal id + script
-// hash (see internal/verify), so a cache hit is a semantic guarantee, not
-// a filename match.
+// keys proof results by theory fingerprint + structural goal hash + script
+// hash (see internal/verify). Each part is a 64-bit hash of content, so
+// every process derives the same key for the same obligation, and a hit
+// means an obligation with the same content was recorded, barring a hash
+// collision.
 //
 // Design constraints, in order:
 //
@@ -33,8 +35,9 @@ import (
 
 // Version is the on-disk format version. Bump it when the line schema or
 // key derivation changes incompatibly; old files are quarantined, not
-// misread.
-const Version = 1
+// misread. Version 2 keys theorem goals by structural hash; version 1
+// keyed them by process-local intern ids.
+const Version = 2
 
 // header is the first line of every store file.
 type header struct {

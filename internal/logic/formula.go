@@ -19,70 +19,59 @@ type Formula interface {
 type Pred struct {
 	Name string
 	Args []Term
-	m    *meta
 }
 
 // Eq asserts that two terms are equal.
 type Eq struct {
 	L, R Term
-	m    *meta
 }
 
 // Cmp is an arithmetic comparison: Op is one of "<", "<=", ">", ">=".
 type Cmp struct {
 	Op   string
 	L, R Term
-	m    *meta
 }
 
 // Not is logical negation.
 type Not struct {
 	F Formula
-	m *meta
 }
 
 // And is n-ary conjunction. An empty conjunction is True.
 type And struct {
 	Fs []Formula
-	m  *meta
 }
 
 // Or is n-ary disjunction. An empty disjunction is False.
 type Or struct {
 	Fs []Formula
-	m  *meta
 }
 
 // Implies is implication.
 type Implies struct {
 	L, R Formula
-	m    *meta
 }
 
 // Iff is bi-implication.
 type Iff struct {
 	L, R Formula
-	m    *meta
 }
 
 // Forall is universal quantification over typed variables.
 type Forall struct {
 	Vars []Var
 	Body Formula
-	m    *meta
 }
 
 // Exists is existential quantification over typed variables.
 type Exists struct {
 	Vars []Var
 	Body Formula
-	m    *meta
 }
 
 // TruthVal is the constant TRUE or FALSE.
 type TruthVal struct {
 	B bool
-	m *meta
 }
 
 func (Pred) isFormula()     {}
@@ -171,9 +160,8 @@ func paren(f Formula) string {
 	}
 }
 
-// Conj builds a conjunction, flattening nested Ands and dropping TRUE. The
-// result is interned: Conj(a, b) carries the identity of the normalized
-// conjunction, and FormulaEqual recognizes any structural spelling of it.
+// Conj builds a conjunction, flattening nested Ands and dropping TRUE.
+// FormulaEqual recognizes any structural spelling of the result.
 func Conj(fs ...Formula) Formula {
 	out := make([]Formula, 0, len(fs))
 	for _, f := range fs {
@@ -182,23 +170,22 @@ func Conj(fs ...Formula) Formula {
 			out = append(out, x.Fs...)
 		case TruthVal:
 			if !x.B {
-				return InternFormula(False)
+				return False
 			}
 		default:
 			out = append(out, f)
 		}
 	}
 	if len(out) == 0 {
-		return InternFormula(True)
+		return True
 	}
 	if len(out) == 1 {
-		return InternFormula(out[0])
+		return out[0]
 	}
-	return InternFormula(And{Fs: out})
+	return And{Fs: out}
 }
 
-// Disj builds a disjunction, flattening nested Ors and dropping FALSE. Like
-// Conj, the result is interned.
+// Disj builds a disjunction, flattening nested Ors and dropping FALSE.
 func Disj(fs ...Formula) Formula {
 	out := make([]Formula, 0, len(fs))
 	for _, f := range fs {
@@ -207,19 +194,19 @@ func Disj(fs ...Formula) Formula {
 			out = append(out, x.Fs...)
 		case TruthVal:
 			if x.B {
-				return InternFormula(True)
+				return True
 			}
 		default:
 			out = append(out, f)
 		}
 	}
 	if len(out) == 0 {
-		return InternFormula(False)
+		return False
 	}
 	if len(out) == 1 {
-		return InternFormula(out[0])
+		return out[0]
 	}
-	return InternFormula(Or{Fs: out})
+	return Or{Fs: out}
 }
 
 // Exist wraps body in an existential quantifier; with no variables it
@@ -244,12 +231,8 @@ func All(vars []Var, body Formula) Formula {
 // modulo the Conj/Disj smart-constructor normalization: And/Or spines are
 // compared flattened, with TRUE/FALSE units dropped, short-circuits applied,
 // and empty/singleton lists unwrapped — so And{a, True} equals a, and
-// Conj(a, b) equals any structural spelling of a AND b. When both formulas
-// are interned this is a single id comparison.
+// Conj(a, b) equals any structural spelling of a AND b.
 func FormulaEqual(a, b Formula) bool {
-	if am, bm := formulaMetaOf(a), formulaMetaOf(b); am != nil && bm != nil {
-		return am.id == bm.id
-	}
 	a, b = normTop(a), normTop(b)
 	switch x := a.(type) {
 	case Pred:

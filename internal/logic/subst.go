@@ -8,28 +8,8 @@ import (
 // Subst maps variable names to replacement terms.
 type Subst map[string]Term
 
-// domainBits returns the bloom mask of the substitution's domain, used to
-// skip interned subtrees whose variables are provably disjoint from it.
-func (s Subst) domainBits() uint64 {
-	var bits uint64
-	for k := range s {
-		bits |= varBit(k)
-	}
-	return bits
-}
-
-// ApplyTerm applies the substitution to a term. Interned subtrees whose
-// variable bloom is disjoint from the substitution's domain are returned
-// unchanged without being re-walked, and rebuilt terms stay interned when
-// their input was.
+// ApplyTerm applies the substitution to a term.
 func (s Subst) ApplyTerm(t Term) Term {
-	return s.applyTerm(t, s.domainBits())
-}
-
-func (s Subst) applyTerm(t Term, dom uint64) Term {
-	if m := termMetaOf(t); m != nil && m.vars&dom == 0 {
-		return t
-	}
 	switch x := t.(type) {
 	case Var:
 		if r, ok := s[x.Name]; ok {
@@ -39,73 +19,52 @@ func (s Subst) applyTerm(t Term, dom uint64) Term {
 	case App:
 		args := make([]Term, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = s.applyTerm(a, dom)
+			args[i] = s.ApplyTerm(a)
 		}
-		nt := App{Fn: x.Fn, Args: args}
-		if x.m != nil {
-			return InternTerm(nt)
-		}
-		return nt
+		return App{Fn: x.Fn, Args: args}
 	default:
 		return t
 	}
 }
 
 // Apply applies the substitution to a formula, renaming bound variables as
-// needed to avoid capture. As with ApplyTerm, interned subtrees disjoint
-// from the domain are shared, and rebuilt formulas stay interned when their
-// input was.
+// needed to avoid capture.
 func (s Subst) Apply(f Formula) Formula {
-	return s.apply(f, s.domainBits())
-}
-
-func (s Subst) apply(f Formula, dom uint64) Formula {
-	m := formulaMetaOf(f)
-	if m != nil && m.vars&dom == 0 {
-		return f
-	}
-	interned := m != nil
-	reintern := func(nf Formula) Formula {
-		if interned {
-			return InternFormula(nf)
-		}
-		return nf
-	}
 	switch x := f.(type) {
 	case Pred:
 		args := make([]Term, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = s.applyTerm(a, dom)
+			args[i] = s.ApplyTerm(a)
 		}
-		return reintern(Pred{Name: x.Name, Args: args})
+		return Pred{Name: x.Name, Args: args}
 	case Eq:
-		return reintern(Eq{L: s.applyTerm(x.L, dom), R: s.applyTerm(x.R, dom)})
+		return Eq{L: s.ApplyTerm(x.L), R: s.ApplyTerm(x.R)}
 	case Cmp:
-		return reintern(Cmp{Op: x.Op, L: s.applyTerm(x.L, dom), R: s.applyTerm(x.R, dom)})
+		return Cmp{Op: x.Op, L: s.ApplyTerm(x.L), R: s.ApplyTerm(x.R)}
 	case Not:
-		return reintern(Not{F: s.apply(x.F, dom)})
+		return Not{F: s.Apply(x.F)}
 	case And:
 		fs := make([]Formula, len(x.Fs))
 		for i, g := range x.Fs {
-			fs[i] = s.apply(g, dom)
+			fs[i] = s.Apply(g)
 		}
-		return reintern(And{Fs: fs})
+		return And{Fs: fs}
 	case Or:
 		fs := make([]Formula, len(x.Fs))
 		for i, g := range x.Fs {
-			fs[i] = s.apply(g, dom)
+			fs[i] = s.Apply(g)
 		}
-		return reintern(Or{Fs: fs})
+		return Or{Fs: fs}
 	case Implies:
-		return reintern(Implies{L: s.apply(x.L, dom), R: s.apply(x.R, dom)})
+		return Implies{L: s.Apply(x.L), R: s.Apply(x.R)}
 	case Iff:
-		return reintern(Iff{L: s.apply(x.L, dom), R: s.apply(x.R, dom)})
+		return Iff{L: s.Apply(x.L), R: s.Apply(x.R)}
 	case Forall:
 		vars, body := s.applyQuant(x.Vars, x.Body)
-		return reintern(Forall{Vars: vars, Body: body})
+		return Forall{Vars: vars, Body: body}
 	case Exists:
 		vars, body := s.applyQuant(x.Vars, x.Body)
-		return reintern(Exists{Vars: vars, Body: body})
+		return Exists{Vars: vars, Body: body}
 	default:
 		return f
 	}

@@ -42,19 +42,15 @@ type Term interface {
 
 // Var is a term variable. Variables are identified by name; the prover
 // generates fresh names by suffixing. Sort is presentation data: equality
-// and interning identity compare names only.
+// and hashing compare names only.
 type Var struct {
 	Name string
 	Sort Sort
-
-	m *meta
 }
 
 // Const is a literal constant drawn from the shared value domain.
 type Const struct {
 	Val value.V
-
-	m *meta
 }
 
 // App is a function application, including arithmetic (+, -, *) and the
@@ -62,8 +58,6 @@ type Const struct {
 type App struct {
 	Fn   string
 	Args []Term
-
-	m *meta
 }
 
 func (Var) isTerm()   {}
@@ -111,40 +105,29 @@ func isBinaryOp(fn string) bool {
 	return false
 }
 
-// The shorthand constructors below are the interning entry points: terms
-// built through them carry hash-consing metadata (see intern.go), so
-// equality on them is an O(1) id comparison. Plain struct literals remain
-// valid and intern lazily on first use by the interned prover kernel.
-
 // V is shorthand for an untyped variable term.
-func V(name string) Var { return InternTerm(Var{Name: name, Sort: SortAny}).(Var) }
+func V(name string) Var { return Var{Name: name, Sort: SortAny} }
 
 // TV is shorthand for a typed variable term.
-func TV(name string, s Sort) Var { return InternTerm(Var{Name: name, Sort: s}).(Var) }
+func TV(name string, s Sort) Var { return Var{Name: name, Sort: s} }
 
 // IntT is shorthand for an integer constant term.
-func IntT(i int64) Const { return InternTerm(Const{Val: value.Int(i)}).(Const) }
+func IntT(i int64) Const { return Const{Val: value.Int(i)} }
 
 // StrT is shorthand for a string constant term.
-func StrT(s string) Const { return InternTerm(Const{Val: value.Str(s)}).(Const) }
+func StrT(s string) Const { return Const{Val: value.Str(s)} }
 
 // AddrT is shorthand for a node-address constant term.
-func AddrT(s string) Const { return InternTerm(Const{Val: value.Addr(s)}).(Const) }
+func AddrT(s string) Const { return Const{Val: value.Addr(s)} }
 
 // BoolT is shorthand for a boolean constant term.
-func BoolT(b bool) Const { return InternTerm(Const{Val: value.Bool(b)}).(Const) }
+func BoolT(b bool) Const { return Const{Val: value.Bool(b)} }
 
 // Fn builds a function application term.
-func Fn(name string, args ...Term) App {
-	return InternTerm(App{Fn: name, Args: args}).(App)
-}
+func Fn(name string, args ...Term) App { return App{Fn: name, Args: args} }
 
-// TermEqual reports structural equality of two terms. When both terms are
-// interned this is a single id comparison.
+// TermEqual reports structural equality of two terms.
 func TermEqual(a, b Term) bool {
-	if am, bm := termMetaOf(a), termMetaOf(b); am != nil && bm != nil {
-		return am.id == bm.id
-	}
 	switch x := a.(type) {
 	case Var:
 		y, ok := b.(Var)

@@ -56,8 +56,7 @@ type Theory struct {
 	Axioms     []Theorem // assumed without proof
 	Theorems   []Theorem // to be proved
 
-	byName   map[string]*Inductive
-	interned bool // set by InternTheory; guards re-interning
+	byName map[string]*Inductive
 }
 
 // NewTheory creates an empty theory.

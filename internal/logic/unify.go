@@ -67,11 +67,6 @@ func walk(t Term, s Subst) Term {
 
 func occurs(name string, t Term, s Subst) bool {
 	t = walk(t, s)
-	// Ground interned subtrees (empty variable bloom) cannot contain any
-	// variable: skip the walk entirely.
-	if m := termMetaOf(t); m != nil && m.vars == 0 {
-		return false
-	}
 	switch x := t.(type) {
 	case Var:
 		return x.Name == name

@@ -3,16 +3,14 @@ package logic
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/value"
 )
 
-// Satellite tests for Unify under interning: corner cases (occurs check,
-// repeated variables, resolution through binding chains) plus a property
-// test against a local copy of the seed structural implementation — the
-// ground-subtree bloom shortcut in occurs() must never change a verdict.
+// Tests for Unify: corner cases (occurs check, repeated variables,
+// resolution through binding chains) plus a property test against a local
+// copy of the seed structural implementation, which pins Unify's verdicts
+// and bindings.
 
-// seedOccurs is the pre-interning occurs check, with no bloom shortcut.
+// seedOccurs is the seed occurs check.
 func seedOccurs(name string, t Term, s Subst) bool {
 	t = walk(t, s)
 	switch x := t.(type) {
@@ -86,8 +84,7 @@ func TestUnifyOccursCheckThroughChains(t *testing.T) {
 	if Unify(V("Y"), Fn("g", V("X"), IntT(1)), s) {
 		t.Error("unified Y with g(X) after X↦Y")
 	}
-	// Ground right-hand side: occurs must not fire, binding succeeds (this
-	// is the path the interned bloom short-circuits).
+	// Ground right-hand side: occurs must not fire, binding succeeds.
 	s = Subst{}
 	ground := Fn("f", Fn("g", IntT(1), IntT(2)))
 	if !Unify(V("X"), ground, s) {
@@ -155,7 +152,7 @@ func (r *uRng) next() uint64 {
 
 func (r *uRng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// randUnifyTerm builds interned terms over variables X0..X2, int and addr
+// randUnifyTerm builds terms over variables X0..X2, int and addr
 // constants, and f/g applications. Addr constants print like their string,
 // so they also exercise Const-vs-Const value comparison.
 func randUnifyTerm(r *uRng, depth int) Term {
@@ -175,24 +172,6 @@ func randUnifyTerm(r *uRng, depth int) Term {
 	return Fn("g", randUnifyTerm(r, depth-1), randUnifyTerm(r, depth-1))
 }
 
-// rawCopy rebuilds a term as uninterned composite literals, so the oracle
-// runs on meta-free structures.
-func rawCopy(t Term) Term {
-	switch x := t.(type) {
-	case Var:
-		return Var{Name: x.Name, Sort: x.Sort}
-	case Const:
-		return Const{Val: x.Val}
-	case App:
-		args := make([]Term, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rawCopy(a)
-		}
-		return App{Fn: x.Fn, Args: args}
-	}
-	return t
-}
-
 func TestUnifyMatchesSeedImplementation(t *testing.T) {
 	r := &uRng{s: 99}
 	vars := []string{"X0", "X1", "X2"}
@@ -202,7 +181,7 @@ func TestUnifyMatchesSeedImplementation(t *testing.T) {
 		s1 := Subst{}
 		s2 := Subst{}
 		ok1 := Unify(a, b, s1)
-		ok2 := seedUnify(rawCopy(a), rawCopy(b), s2)
+		ok2 := seedUnify(a, b, s2)
 		if ok1 != ok2 {
 			t.Fatalf("case %d: Unify(%v, %v) = %v, seed = %v", i, a, b, ok1, ok2)
 		}
@@ -213,13 +192,9 @@ func TestUnifyMatchesSeedImplementation(t *testing.T) {
 			r1 := Resolve(V(v), s1)
 			r2 := Resolve(Var{Name: v}, s2)
 			if !TermEqual(r1, r2) {
-				t.Fatalf("case %d: %s resolves to %v (interned) vs %v (seed) for Unify(%v, %v)",
+				t.Fatalf("case %d: %s resolves to %v vs %v (seed) for Unify(%v, %v)",
 					i, v, r1, r2, a, b)
 			}
 		}
-	}
-	// Keep the value import anchored to the raw-literal path.
-	if !TermEqual(Const{Val: value.Int(7)}, IntT(7)) {
-		t.Error("raw const literal not equal to interned constructor")
 	}
 }

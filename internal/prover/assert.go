@@ -67,9 +67,8 @@ func (p *Prover) assertGoalDepth(g Sequent, depth int) (out *Sequent, closed boo
 	}
 	ng = *flat
 
-	// Phase 3: congruence closure (engine chosen by kernel mode: interned
-	// ids or the seed string keys).
-	cc := p.newCC()
+	// Phase 3: congruence closure.
+	cc := newCongruence()
 	for _, f := range ng.Ante {
 		if eq, ok := f.(logic.Eq); ok {
 			cc.addTerm(eq.L)
@@ -96,7 +95,7 @@ func (p *Prover) assertGoalDepth(g Sequent, depth int) (out *Sequent, closed boo
 	cc.close()
 
 	// Contradictory antecedent equality between distinct constants.
-	if cc.bad() {
+	if cc.inconsistent {
 		p.prim()
 		return nil, true
 	}
@@ -230,29 +229,8 @@ func (p *Prover) assertGoalDepth(g Sequent, depth int) (out *Sequent, closed boo
 	return &ng, false
 }
 
-// simplifyFormula evaluates ground subterms and decides ground atoms. The
-// interned kernel memoizes results by formula id — simplification is a pure
-// function of the formula, and interned ids identify formulas up to the
-// Conj/Disj normalization that simplification itself applies, so replaying
-// a cached result is exact.
+// simplifyFormula evaluates ground subterms and decides ground atoms.
 func (p *Prover) simplifyFormula(f logic.Formula) logic.Formula {
-	if p.structural {
-		return p.simplifyFormulaRaw(f)
-	}
-	f = logic.InternFormula(f)
-	id := logic.FormulaID(f)
-	if r, ok := p.simp[id]; ok {
-		return r
-	}
-	r := logic.InternFormula(p.simplifyFormulaRaw(f))
-	if p.simp == nil {
-		p.simp = map[uint64]logic.Formula{}
-	}
-	p.simp[id] = r
-	return r
-}
-
-func (p *Prover) simplifyFormulaRaw(f logic.Formula) logic.Formula {
 	switch x := f.(type) {
 	case logic.Pred:
 		args := make([]logic.Term, len(x.Args))
@@ -523,19 +501,6 @@ func replaceTermInFormula(f logic.Formula, from, to logic.Term, did *bool) logic
 
 // --- congruence closure ----------------------------------------------------
 
-// ccEngine abstracts the congruence-closure engine so the interned kernel
-// (id-keyed, ccid.go) and the seed kernel (string-keyed, below) share the
-// assert driver. Both implement the same union policy (constants preferred
-// as representatives) and the same pairwise closure, so they compute
-// identical equivalence classes.
-type ccEngine interface {
-	addTerm(t logic.Term)
-	merge(l, r logic.Term)
-	same(l, r logic.Term) bool
-	close()
-	bad() bool
-}
-
 type ccNode struct {
 	term   logic.Term
 	parent string
@@ -608,8 +573,6 @@ func (c *congruence) merge(l, r logic.Term) {
 func (c *congruence) same(l, r logic.Term) bool {
 	return c.find(termKey(l)) == c.find(termKey(r))
 }
-
-func (c *congruence) bad() bool { return c.inconsistent }
 
 // close propagates congruence: f(a...) ~ f(b...) whenever a_i ~ b_i.
 func (c *congruence) close() {

@@ -29,12 +29,8 @@ func (p *Prover) Grind() error {
 	defer func() { p.inAuto = wasAuto }()
 
 	// Computed once per grind: the sorted auto-expandable definitions (the
-	// sort also makes expansion order deterministic) and, for the interned
-	// kernel, the sub-goal memo.
+	// sort also makes expansion order deterministic).
 	p.nonRecN = p.nonRecSortedNames()
-	if !p.structural && p.memo == nil {
-		p.memo = newGrindMemo()
-	}
 
 	g := p.pop()
 	residual := p.solve(g, grindMaxDepth)
@@ -89,10 +85,6 @@ func (p *Prover) nonRecursiveDefs() map[string]bool {
 }
 
 // solve attempts to close g, returning residual open goals (nil if closed).
-// The interned kernel consults the sub-goal memo first: a repeated
-// sub-sequent at the same depth replays the recorded primitive-inference
-// count instead of re-searching, so step accounting matches the uncached
-// run exactly (a hit replays precisely what recomputing would have counted).
 func (p *Prover) solve(g Sequent, depth int) []Sequent {
 	if depth <= 0 {
 		return []Sequent{g}
@@ -103,21 +95,6 @@ func (p *Prover) solve(g Sequent, depth int) []Sequent {
 	if p.cancelled() {
 		return []Sequent{g}
 	}
-	if p.memo != nil {
-		if prim, ok := p.memo.lookup(g, depth); ok {
-			p.addPrim(prim)
-			return nil
-		}
-	}
-	prim0 := p.PrimSteps
-	res := p.solveBody(g, depth)
-	if res == nil && p.memo != nil {
-		p.memo.store(g, depth, p.PrimSteps-prim0)
-	}
-	return res
-}
-
-func (p *Prover) solveBody(g Sequent, depth int) []Sequent {
 	// Saturate with skolemization + flattening.
 	cur := &g
 	for {

@@ -51,15 +51,9 @@ type Prover struct {
 	// strategy, for AutoPrim accounting.
 	inAuto bool
 
-	// Kernel configuration (see kernel.go). structural selects the seed
-	// string-keyed kernel; memo caches closed grind sub-goals; simp
-	// memoizes assert's ground-term simplification by interned formula
-	// id; nonRecN is the sorted auto-expandable definition list, computed
-	// once per Grind.
-	structural bool
-	memo       *grindMemo
-	simp       map[uint64]logic.Formula
-	nonRecN    []string
+	// nonRecN is the sorted auto-expandable definition list, computed once
+	// per Grind.
+	nonRecN []string
 
 	// Observability: per-tactic step counts, primitive-inference counts,
 	// and durations (component "prover", labelled by tactic name). Nil

@@ -75,9 +75,6 @@ func ToLogic(an *ndlog.Analysis, opts Options) (*logic.Theory, error) {
 	if err := th.Validate(); err != nil {
 		return nil, fmt.Errorf("translate: generated theory invalid: %w", err)
 	}
-	// Hash-cons the generated formulas up front: every consumer (prover,
-	// obligation pipeline) then works on shared interned nodes.
-	logic.InternTheory(th)
 	return th, nil
 }
 

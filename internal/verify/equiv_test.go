@@ -8,13 +8,12 @@ import (
 	"repro/internal/logic"
 )
 
-// The equivalence tests pit the interned parallel pipeline against the
-// retained seed kernel (prover.SeqProve's structural, sequential prover)
-// on randomized proof obligations: verdicts and step counts must agree
-// exactly, with the cache on and off and at every worker count. This is
-// the soundness regression net for the hash-consing refactor — interning,
-// memoization, and the worker pool are only allowed to change speed,
-// never what is proved or how many inferences it takes.
+// The equivalence tests pit the parallel and cached pipeline against the
+// sequential, uncached one (Options{Workers: 1}) on randomized proof
+// obligations: verdicts and step counts must agree exactly, with the
+// cache on and off and at every worker count. The cache and the worker
+// pool are only allowed to change speed, never what is proved or how many
+// inferences it takes.
 
 type eqRng struct{ s uint64 }
 
@@ -41,7 +40,7 @@ func randEqTerm(r *eqRng, depth int) logic.Term {
 // randEqFormula builds propositional combinations of ground predicate
 // atoms and equalities — goals that drive flatten, split, the congruence
 // engine, and grind's backtracking search. Validity is irrelevant: the
-// kernels must agree on provable and unprovable goals alike.
+// configurations must agree on provable and unprovable goals alike.
 func randEqFormula(r *eqRng, depth int) logic.Formula {
 	if depth <= 0 || r.intn(4) == 0 {
 		if r.intn(2) == 0 {
@@ -89,7 +88,7 @@ func sameOutcome(t *testing.T, ctx string, want, got Result) {
 	t.Helper()
 	if want.Proved != got.Proved || want.Steps != got.Steps ||
 		want.PrimSteps != got.PrimSteps || want.AutoPrim != got.AutoPrim {
-		t.Errorf("%s %s: seed=(proved=%v steps=%d prim=%d auto=%d) got=(proved=%v steps=%d prim=%d auto=%d)",
+		t.Errorf("%s %s: want=(proved=%v steps=%d prim=%d auto=%d) got=(proved=%v steps=%d prim=%d auto=%d)",
 			ctx, want.Name,
 			want.Proved, want.Steps, want.PrimSteps, want.AutoPrim,
 			got.Proved, got.Steps, got.PrimSteps, got.AutoPrim)
@@ -97,24 +96,24 @@ func sameOutcome(t *testing.T, ctx string, want, got Result) {
 }
 
 // TestPipelineMatchesSeedKernelOnRandomGoals is the randomized
-// interned-vs-structural and sequential-vs-parallel equivalence test: the
-// seed kernel's verdicts and proof-step counts are the oracle, and every
-// pipeline configuration — interned sequential, interned parallel, cache
-// off, cache on with duplicated obligations — must reproduce them exactly.
+// sequential-vs-parallel and uncached-vs-cached equivalence test: the
+// sequential uncached run of the seed structural kernel is the oracle,
+// and every other pipeline configuration — cache on, parallel, cache on
+// with duplicated obligations — must reproduce its verdicts and
+// proof-step counts exactly.
 func TestPipelineMatchesSeedKernelOnRandomGoals(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		obls := randObligations(seed, 25)
 
-		oracle := NewPipeline(Options{Workers: 1, Structural: true}).Run(context.Background(), obls)
+		oracle := NewPipeline(Options{Workers: 1}).Run(context.Background(), obls)
 
 		configs := []struct {
 			name string
 			opts Options
 		}{
-			{"interned_w1", Options{Workers: 1}},
-			{"interned_w1_cache", Options{Workers: 1, Cache: true}},
-			{"interned_w4", Options{Workers: 4}},
-			{"interned_w4_cache", Options{Workers: 4, Cache: true}},
+			{"w1_cache", Options{Workers: 1, Cache: true}},
+			{"w4", Options{Workers: 4}},
+			{"w4_cache", Options{Workers: 4, Cache: true}},
 		}
 		for _, cfg := range configs {
 			got := NewPipeline(cfg.opts).Run(context.Background(), obls)
@@ -140,22 +139,22 @@ func TestPipelineMatchesSeedKernelOnRandomGoals(t *testing.T) {
 	}
 }
 
-// TestStandardSuiteKernelsAgree runs the full standard suite under the
-// seed kernel and the interned parallel pipeline: everything proves under
-// both, with identical step counts, and the lex product's factor laws hit
-// the cache.
+// TestStandardSuiteKernelsAgree runs the full standard suite sequentially
+// without the cache and on the parallel cached pipeline: everything proves
+// under both, with identical step counts, and the lex product's factor
+// laws hit the cache.
 func TestStandardSuiteKernelsAgree(t *testing.T) {
 	obls, err := StandardSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewPipeline(Options{Workers: 1, Structural: true}).Run(context.Background(), obls)
+	oracle := NewPipeline(Options{Workers: 1}).Run(context.Background(), obls)
 	if !oracle.AllProved() {
-		t.Fatalf("seed kernel failed %d obligations", oracle.Failed())
+		t.Fatalf("sequential run failed %d obligations", oracle.Failed())
 	}
 	got := NewPipeline(Options{Workers: 4, Cache: true}).Run(context.Background(), obls)
 	if !got.AllProved() {
-		t.Fatalf("interned pipeline failed %d obligations", got.Failed())
+		t.Fatalf("parallel cached pipeline failed %d obligations", got.Failed())
 	}
 	for i := range obls {
 		sameOutcome(t, "suite", oracle.Results[i], got.Results[i])

@@ -3,7 +3,7 @@
 // obligations from the three producers — translate (NDlog→inductive-
 // definition theories), metarouting (algebra laws), and component
 // (property-preservation checks) — and discharges them on a worker pool
-// with a result cache keyed by interned-formula id plus theory
+// with a result cache keyed by structural goal hash plus theory
 // fingerprint, so identical obligations (shared algebra laws across
 // composed algebras, repeated goals across suites) are proved once.
 package verify
@@ -118,19 +118,14 @@ type Options struct {
 	// Workers bounds concurrent obligation discharge (<=1 = sequential).
 	Workers int
 	// Cache enables the cross-obligation result cache. Identical
-	// obligations — same theory fingerprint, interned goal id, and script
-	// — are proved once; later ones replay the recorded verdict and step
-	// counts. Ignored under Structural (the seed kernel has no interned
-	// ids to key by).
+	// obligations — same theory fingerprint, structural goal hash, and
+	// script — are proved once; later ones replay the recorded verdict and
+	// step counts.
 	Cache bool
-	// Structural discharges theorem obligations with the seed structural
-	// kernel (SeqProve's kernel) instead of the interned one — the oracle
-	// configuration for equivalence tests.
-	Structural bool
 	// Persist, when non-nil, backs the result cache with a persistent
 	// store shared across pipelines, requests, and processes (see
-	// internal/cache). Setting it implies Cache (unless Structural).
-	// Cancelled results are never persisted.
+	// internal/cache). Setting it implies Cache. Cancelled results are
+	// never persisted.
 	Persist *cache.Store
 
 	// Observability (optional): obligation counters land in component
@@ -153,7 +148,7 @@ type Pipeline struct {
 
 type thmKey struct {
 	theory uint64 // logic.TheoryFingerprint
-	goal   uint64 // interned goal id
+	goal   uint64 // logic.FormulaHash of the goal
 	script uint64
 }
 
@@ -161,10 +156,6 @@ type thmKey struct {
 func NewPipeline(opts Options) *Pipeline {
 	if opts.Persist != nil {
 		opts.Cache = true
-	}
-	if opts.Structural {
-		opts.Cache = false
-		opts.Persist = nil
 	}
 	return &Pipeline{opts: opts, thms: map[thmKey]Result{}, chks: map[string]Result{}}
 }
@@ -186,19 +177,6 @@ const DefaultScript = "(skosimp*) (grind)"
 // cached or persisted.
 func (pl *Pipeline) Run(ctx context.Context, obls []Obligation) Report {
 	start := time.Now()
-
-	// Intern each distinct theory once, up front, so pool workers share
-	// read-only interned structures.
-	if !pl.opts.Structural {
-		seen := map[*logic.Theory]bool{}
-		for _, ob := range obls {
-			if ob.Theory != nil && !seen[ob.Theory] {
-				seen[ob.Theory] = true
-				logic.InternTheory(ob.Theory)
-			}
-		}
-	}
-
 	results := make([]Result, len(obls))
 	var run []int // indices that need a fresh proof
 	// rep[i] >= 0 marks i a duplicate of the earlier index rep[i].
@@ -325,9 +303,11 @@ func replay(src Result, name string) Result {
 
 // key computes the cache identity of an obligation, or nil when it has
 // none. Theorem keys combine the theory fingerprint (inductives + axioms),
-// the interned goal id, and the script; interning cannot conflate distinct
-// goals (ids are assigned by full structural comparison), so equal keys
-// mean provably interchangeable obligations.
+// the structural goal hash, and the script hash. All three are functions
+// of content alone, so every process derives the same key for the same
+// obligation. They are 64-bit hashes, not proofs of identity: two distinct
+// obligations share a key only if their hashes collide, and then the later
+// one would replay the earlier one's result.
 func (pl *Pipeline) key(ob Obligation) interface{} {
 	if ob.Check != nil {
 		if ob.CheckKey == "" {
@@ -342,7 +322,7 @@ func (pl *Pipeline) key(ob Obligation) interface{} {
 	if !ok {
 		return nil
 	}
-	goal := logic.FormulaID(logic.InternFormula(thm.Goal))
+	goal := logic.FormulaHash(thm.Goal)
 	script := ob.Script
 	if script == "" {
 		script = DefaultScript
@@ -356,8 +336,8 @@ func (pl *Pipeline) key(ob Obligation) interface{} {
 }
 
 // persistKey renders a cache key for the persistent store. Theorem keys
-// carry the theory fingerprint, interned goal id, and script hash; check
-// keys are namespaced verbatim.
+// carry the theory fingerprint, structural goal hash, and script hash;
+// check keys are namespaced verbatim.
 func persistKey(key interface{}) string {
 	switch k := key.(type) {
 	case thmKey:
@@ -462,9 +442,6 @@ func (pl *Pipeline) run1(ctx context.Context, ob Obligation) Result {
 	p, err := prover.New(ob.Theory, ob.Theorem)
 	if err != nil {
 		return Result{Name: ob.Name, Err: err.Error(), Elapsed: time.Since(t0)}
-	}
-	if pl.opts.Structural {
-		p.UseSeedKernel()
 	}
 	tr := pl.opts.Tracer
 	if pl.opts.Workers > 1 {
