@@ -218,6 +218,32 @@ func genProgram(seed uint64) (string, []string) {
 	return b.String(), preds
 }
 
+// TestSumOverNonIntegerFailsBothEngines: sum<> over non-integer values is
+// an error in the centralized engine, and the distributed runtime must
+// refuse it the same way instead of converging on a meaningless total.
+func TestSumOverNonIntegerFailsBothEngines(t *testing.T) {
+	const src = `materialize(part, infinity, infinity, keys(1,2)).
+materialize(total, infinity, infinity, keys(1)).
+r1 total(@S,sum<C>) :- part(@S,C).
+part(@n0,"x").
+part(@n0,"y").
+`
+	eng, err := datalog.New(ndlog.MustParse("sum", src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err == nil || !strings.Contains(err.Error(), "sum over non-integer") {
+		t.Fatalf("engine: err = %v, want sum over non-integer", err)
+	}
+	net, err := NewNetwork(ndlog.MustParse("sum", src), netgraph.Line(1), Options{MaxTime: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(); err == nil || !strings.Contains(err.Error(), "sum over non-integer") {
+		t.Fatalf("dist: err = %v, total = %v, want sum over non-integer", err, net.Query("n0", "total"))
+	}
+}
+
 // TestEngineDistAgreeOnRandomPrograms is the randomized cross-engine
 // property test: for generated programs covering joins, negation,
 // recursion, and every aggregate, the centralized stratified engine and a

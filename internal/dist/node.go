@@ -622,6 +622,9 @@ func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivati
 		k := key.Key()
 		g, ok := groups[k]
 		if !ok {
+			if plan.AggKind == "sum" && av.K != value.KindInt {
+				return fmt.Errorf("dist: rule %s: sum over non-integer", r.Label)
+			}
 			g = &group{key: key, best: av, cnt: 1}
 			groups[k] = g
 			order = append(order, k)
@@ -640,6 +643,9 @@ func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivati
 				g.best = av
 			}
 		case "sum":
+			if av.K != value.KindInt {
+				return fmt.Errorf("dist: rule %s: sum over non-integer", r.Label)
+			}
 			g.best = value.Int(g.best.I + av.I)
 		}
 		return nil
