@@ -36,7 +36,6 @@ func TestFormulaEqualConsistentWithConjNormalization(t *testing.T) {
 	a := Pred{Name: "p", Args: []Term{IntT(1)}}
 	b := Pred{Name: "q", Args: []Term{IntT(2)}}
 	c := Pred{Name: "rr"}
-	px := Pred{Name: "p", Args: []Term{V("X")}}
 
 	cases := []struct {
 		name string
@@ -53,12 +52,9 @@ func TestFormulaEqualConsistentWithConjNormalization(t *testing.T) {
 		{"false short-circuits and", And{Fs: []Formula{a, False}}, False, true},
 		{"true short-circuits or", Or{Fs: []Formula{b, True, a}}, True, true},
 		{"deep nesting both sides", And{Fs: []Formula{a, And{Fs: []Formula{b, c}}}}, And{Fs: []Formula{And{Fs: []Formula{a, b}}, c}}, true},
-		{"conj with unit vs nested singleton", Conj(a, b, True), And{Fs: []Formula{a, And{Fs: []Formula{b}}}}, true},
-		{"identical quantifiers", Forall{Vars: []Var{V("X")}, Body: px}, Forall{Vars: []Var{V("X")}, Body: px}, true},
 		{"order matters", Conj(a, b), Conj(b, a), false},
 		{"and is not or", Conj(a, b), Disj(a, b), false},
 		{"arity matters", Conj(a, b, c), Conj(a, b), false},
-		{"forall is not exists", Forall{Vars: []Var{V("X")}, Body: px}, Exists{Vars: []Var{V("X")}, Body: px}, false},
 	}
 	for _, tc := range cases {
 		if got := FormulaEqual(tc.x, tc.y); got != tc.want {
@@ -71,5 +67,34 @@ func TestFormulaEqualConsistentWithConjNormalization(t *testing.T) {
 		if got := FormulaHash(tc.x) == FormulaHash(tc.y); got != tc.want {
 			t.Errorf("%s: hashes equal = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// A formula's identity is FormulaEqual plus FormulaHash, the key the
+// theorem cache uses: the normalized Conj result and the nested literal it
+// normalizes to must share it.
+func TestInternFormulaSharesConstructorIdentity(t *testing.T) {
+	a := Pred{Name: "p"}
+	b := Pred{Name: "q"}
+	built := Conj(a, b, True)
+	spelled := And{Fs: []Formula{a, And{Fs: []Formula{b}}}}
+	if !FormulaEqual(built, spelled) {
+		t.Errorf("Conj(p,q,TRUE) = %v not equal to And{p,And{q}} = %v", built, spelled)
+	}
+	if FormulaHash(built) != FormulaHash(spelled) {
+		t.Errorf("Conj(p,q,TRUE) hash %x != And{p,And{q}} hash %x", FormulaHash(built), FormulaHash(spelled))
+	}
+}
+
+func TestQuantifierInterning(t *testing.T) {
+	body := Pred{Name: "p", Args: []Term{V("X")}}
+	f1 := Forall{Vars: []Var{V("X")}, Body: body}
+	f2 := Forall{Vars: []Var{V("X")}, Body: body}
+	if !FormulaEqual(f1, f2) || FormulaHash(f1) != FormulaHash(f2) {
+		t.Error("identical quantified formulas differ in identity")
+	}
+	g := Exists{Vars: []Var{V("X")}, Body: body}
+	if FormulaEqual(f1, g) || FormulaHash(f1) == FormulaHash(g) {
+		t.Error("forall and exists share an identity")
 	}
 }
