@@ -16,8 +16,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Five samples of every root benchmark, printed to stdout: quote a median
+# with its range, never a single sample.
 bench:
-	$(GO) test -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+	$(GO) test -bench=. -benchmem -count=5 -run='^$$' .
 
 # perfbench is a module of its own, outside ./...: vet and test it so a
 # change to the packages it imports cannot silently break its build.
@@ -28,7 +30,7 @@ chaos-smoke:
 	$(GO) run -race ./cmd/fvn chaos -n 25 -topo ring:6
 	$(GO) run -race ./cmd/fvn chaos -n 12 -topo ring:8 -crashes 3 -reliable -checkpoint-every 10 -anti-entropy
 
-# The chaos-campaign benchmark workload's ops 0-199 of seeds 1-10, built
+# The chaos-campaign benchmark workload's ops 0-259 of seeds 1-10, built
 # as perfbench builds them; fails unless exactly the known ops fail.
 chaos-sweep:
 	FVN_SWEEP=1 $(GO) test -count=1 -run 'TestChaosSweep' -v -timeout 30m ./internal/dist/

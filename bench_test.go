@@ -273,83 +273,15 @@ func BenchmarkE11ModelCheck(b *testing.B) {
 	}
 }
 
-// --- PR3: parallel fingerprinted search core vs string-keyed reference --------
+// --- Model checking: fingerprinted search core at 1 and 4 workers ----------
 
-// The seedMC* types reimplement the growth seed's model-checking pipeline
-// for the Subsets-mode SPVP system verbatim (the same pattern as the
-// seedJoin* helpers above): states are identified by canonical Key
-// strings, and the successor dedup inside Next builds and compares key
-// strings per generated successor — the costs the PR3 fingerprinted core
-// removes. SeqCountReachable supplies the matching string-keyed checker.
-
-type seedMCState struct {
-	spp *bgp.SPP
-	a   bgp.Assignment
-}
-
-func (s seedMCState) Key() string     { return s.a.Key() }
-func (s seedMCState) Display() string { return s.a.Key() }
-
-type seedMCSystem struct{ spp *bgp.SPP }
-
-func (s seedMCSystem) Initial() []modelcheck.State {
-	return []modelcheck.State{seedMCState{spp: s.spp, a: bgp.Assignment{}}}
-}
-
-func (s seedMCSystem) apply(a bgp.Assignment, nodes []string) (bgp.Assignment, bool) {
-	next := a.Clone()
-	changed := false
-	for _, n := range nodes {
-		best := s.spp.BestChoice(n, a)
-		if best.Equal(a[n]) {
-			continue
-		}
-		changed = true
-		if len(best) == 0 {
-			delete(next, n)
-		} else {
-			next[n] = best
-		}
-	}
-	return next, changed
-}
-
-func (s seedMCSystem) Next(st modelcheck.State) []modelcheck.State {
-	cur := st.(seedMCState)
-	var out []modelcheck.State
-	n := len(s.spp.Nodes)
-	seen := map[string]bool{}
-	for mask := 1; mask < 1<<n; mask++ {
-		var active []string
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				active = append(active, s.spp.Nodes[i])
-			}
-		}
-		if next, changed := s.apply(cur.a, active); changed {
-			k := next.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, seedMCState{spp: s.spp, a: next})
-			}
-		}
-	}
-	return out
-}
-
-// BenchmarkModelCheck measures the PR3 search core on the k=3 Disagree
-// chain under full subset activation (343 states, the heaviest E11
-// instance): the seed pipeline (string-keyed successor dedup + sequential
-// BFS over a Key-string visited set) against the fingerprinted system and
-// core at 1 and 4 workers.
+// BenchmarkModelCheck measures the search core on the k=3 Disagree chain
+// under full subset activation (343 states, the heaviest E11 instance)
+// at 1 and 4 workers.
 func BenchmarkModelCheck(b *testing.B) {
 	spp := bgp.DisagreeChain(3)
 	sys := bgp.System{SPP: spp, Mode: bgp.Subsets}
-	seed := seedMCSystem{spp: spp}
 	want, _ := modelcheck.CountReachable(context.Background(), sys, modelcheck.Options{})
-	if n, _ := modelcheck.SeqCountReachable(seed, modelcheck.Options{}); n != want {
-		b.Fatalf("seed pipeline counts %d states, fingerprinted %d", n, want)
-	}
 	run := func(b *testing.B, count func() int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -358,9 +290,6 @@ func BenchmarkModelCheck(b *testing.B) {
 			}
 		}
 	}
-	b.Run("seed-seq-reference", func(b *testing.B) {
-		run(b, func() int { n, _ := modelcheck.SeqCountReachable(seed, modelcheck.Options{}); return n })
-	})
 	b.Run("fingerprint/workers=1", func(b *testing.B) {
 		run(b, func() int {
 			n, _ := modelcheck.CountReachable(context.Background(), sys, modelcheck.Options{Workers: 1})
@@ -549,10 +478,7 @@ func BenchmarkA4BFSvsDFS(b *testing.B) {
 // variant is the default configuration and must stay within noise of the
 // pre-instrumentation baseline. Both enabled variants build their
 // collector and sink once, outside the timed loop, so they measure
-// instrumentation rather than sink allocation. Attaching a collector or
-// tracer also turns off the engine's parallel rule components, so
-// engine/enabled runs every stratum sequentially where engine/disabled
-// may not.
+// instrumentation rather than sink allocation.
 func BenchmarkObsOverhead(b *testing.B) {
 	topo := netgraph.Ring(8)
 	runNet := func(b *testing.B, col *obs.Collector, tr *obs.Tracer) {

@@ -35,9 +35,10 @@ import (
 
 // Version is the on-disk format version. Bump it when the line schema or
 // key derivation changes incompatibly; old files are quarantined, not
-// misread. Version 2 keys theorem goals by structural hash; version 1
-// keyed them by process-local intern ids.
-const Version = 2
+// misread. Version 3 fingerprints a theory by folding its sorted item
+// hashes; version 2 XORed them, so repeated items cancelled; version 1
+// keyed goals by process-local intern ids.
+const Version = 3
 
 // header is the first line of every store file.
 type header struct {

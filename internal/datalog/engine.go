@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/ndlog"
@@ -42,12 +41,6 @@ type Stats struct {
 type Engine struct {
 	An   *ndlog.Analysis
 	Mode Mode
-
-	// Parallel evaluates independent rule components of each stratum
-	// concurrently (per-goroutine executors over read-only shared
-	// tables). Automatically disabled while observability, tracing, or
-	// provenance is attached.
-	Parallel bool
 
 	rels  map[string]*Relation
 	execs map[*ndlog.Plan]*store.Exec
@@ -121,7 +114,7 @@ func NewFromAnalysis(an *ndlog.Analysis) (*Engine, error) {
 	if an.AggInCycle {
 		return nil, fmt.Errorf("datalog: program aggregates on a recursive cycle; it has no stratified model — execute it on the distributed runtime (internal/dist)")
 	}
-	e := &Engine{An: an, Parallel: true, rels: map[string]*Relation{}, execs: map[*ndlog.Plan]*store.Exec{}}
+	e := &Engine{An: an, rels: map[string]*Relation{}, execs: map[*ndlog.Plan]*store.Exec{}}
 	for pred, arity := range an.Arity {
 		e.rels[pred] = NewRelation(pred, arity)
 	}
@@ -162,20 +155,12 @@ func (e *Engine) Relation(pred string) *Relation {
 // Table implements store.TableSource for the plan executor.
 func (e *Engine) Table(pred string) *store.Table { return e.rels[pred] }
 
-// evalCtx carries the executor cache and stats sink of one evaluation
-// goroutine: the sequential path shares the engine's, parallel
-// components get their own (executors are single-goroutine state).
-type evalCtx struct {
-	execs map[*ndlog.Plan]*store.Exec
-	stats *Stats
-}
-
-// exec returns the context's cached executor for a plan.
-func (e *Engine) exec(c *evalCtx, p *ndlog.Plan) *store.Exec {
-	x, ok := c.execs[p]
+// exec returns the engine's cached executor for a plan.
+func (e *Engine) exec(p *ndlog.Plan) *store.Exec {
+	x, ok := e.execs[p]
 	if !ok {
 		x = store.NewExec(p)
-		c.execs[p] = x
+		e.execs[p] = x
 	}
 	return x
 }
@@ -240,137 +225,18 @@ func (e *Engine) Reset() {
 // and can be called again after base-table changes (including deletions).
 func (e *Engine) Run() error {
 	e.Reset()
-	parallel := e.Parallel && e.col == nil && e.tracer == nil && !e.prov.Enabled()
-	ctx := &evalCtx{execs: e.execs, stats: &e.Stats}
 	for stratum := range e.An.Strata {
-		if parallel {
-			if err := e.runStratumParallel(stratum); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := e.runStratum(ctx, stratum, nil); err != nil {
+		if err := e.runStratum(stratum); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// components partitions the stratum's rules into independent groups: two
-// rules share a group when their head predicates are connected through
-// predicates of this same stratum (mutual recursion, or one reading the
-// other's head). Groups only read each other's inputs from lower strata,
-// which are immutable during the stratum, so they can evaluate
-// concurrently.
-func (e *Engine) components(stratum int) [][]*ndlog.Rule {
-	var rules []*ndlog.Rule
-	for _, r := range e.An.Prog.Rules {
-		if e.An.StratumOf[r.Head.Pred] == stratum {
-			rules = append(rules, r)
-		}
-	}
-	// Union-find over this stratum's predicates.
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(p string) string {
-		if parent[p] != p {
-			parent[p] = find(parent[p])
-		}
-		return parent[p]
-	}
-	union := func(a, b string) { parent[find(a)] = find(b) }
-	touch := func(p string) {
-		if _, ok := parent[p]; !ok {
-			parent[p] = p
-		}
-	}
-	for _, r := range rules {
-		touch(r.Head.Pred)
-		for _, l := range r.Body {
-			if l.Atom == nil {
-				continue
-			}
-			p := l.Atom.Pred
-			if e.An.StratumOf[p] != stratum || !e.An.Derived[p] {
-				continue
-			}
-			touch(p)
-			union(r.Head.Pred, p)
-		}
-	}
-	order := []string{}
-	groups := map[string][]*ndlog.Rule{}
-	for _, r := range rules {
-		root := find(r.Head.Pred)
-		if _, ok := groups[root]; !ok {
-			order = append(order, root)
-		}
-		groups[root] = append(groups[root], r)
-	}
-	out := make([][]*ndlog.Rule, 0, len(order))
-	for _, root := range order {
-		out = append(out, groups[root])
-	}
-	return out
-}
-
-// runStratumParallel evaluates the stratum's independent rule components
-// on one goroutine each. Shared state is prepared single-threaded first
-// (index builds and compaction are the lazily-mutated structures), then
-// each component runs with its own executors and stats, merged after the
-// barrier.
-func (e *Engine) runStratumParallel(stratum int) error {
-	comps := e.components(stratum)
-	ctx := &evalCtx{execs: e.execs, stats: &e.Stats}
-	if len(comps) <= 1 {
-		return e.runStratum(ctx, stratum, nil)
-	}
-	// Prepare phase: build every index any component will probe, and
-	// compact fully scanned tables, while still single-threaded.
-	for _, comp := range comps {
-		for _, r := range comp {
-			rp := e.An.Plans[r]
-			store.PreparePlan(e, rp.Full)
-			for _, d := range rp.Delta {
-				if d != nil {
-					store.PreparePlan(e, d)
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(comps))
-	stats := make([]Stats, len(comps))
-	for ci, comp := range comps {
-		wg.Add(1)
-		go func(ci int, comp []*ndlog.Rule) {
-			defer wg.Done()
-			c := &evalCtx{execs: map[*ndlog.Plan]*store.Exec{}, stats: &stats[ci]}
-			errs[ci] = e.runStratum(c, stratum, comp)
-		}(ci, comp)
-	}
-	wg.Wait()
-	for ci := range comps {
-		e.Stats.Iterations += stats[ci].Iterations
-		e.Stats.Derivations += stats[ci].Derivations
-		e.Stats.NewTuples += stats[ci].NewTuples
-		e.Stats.JoinProbes += stats[ci].JoinProbes
-		if errs[ci] != nil {
-			return errs[ci]
-		}
-	}
-	return nil
-}
-
 // rulesOfStratum partitions the stratum's rules into aggregate rules,
-// delete rules, and plain rules. A non-nil only restricts the partition
-// to that subset (one parallel component).
-func (e *Engine) rulesOfStratum(stratum int, only []*ndlog.Rule) (plain, aggs, dels []*ndlog.Rule) {
-	rules := e.An.Prog.Rules
-	if only != nil {
-		rules = only
-	}
-	for _, r := range rules {
+// delete rules, and plain rules.
+func (e *Engine) rulesOfStratum(stratum int) (plain, aggs, dels []*ndlog.Rule) {
+	for _, r := range e.An.Prog.Rules {
 		if e.An.StratumOf[r.Head.Pred] != stratum {
 			continue
 		}
@@ -387,8 +253,8 @@ func (e *Engine) rulesOfStratum(stratum int, only []*ndlog.Rule) (plain, aggs, d
 	return plain, aggs, dels
 }
 
-func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
-	iter0 := c.stats.Iterations
+func (e *Engine) runStratum(stratum int) error {
+	iter0 := e.Stats.Iterations
 	var t0 time.Time
 	if e.col != nil || e.tracer != nil {
 		t0 = time.Now()
@@ -399,17 +265,17 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 			d := time.Since(t0)
 			e.col.Histogram("datalog", "stratum_eval", strconv.Itoa(stratum)).Observe(d)
 			if e.tracer != nil {
-				e.tracer.Emit(obs.Event{Kind: obs.EvStratumEnd, N: int64(c.stats.Iterations - iter0), DurNs: int64(d)})
+				e.tracer.Emit(obs.Event{Kind: obs.EvStratumEnd, N: int64(e.Stats.Iterations - iter0), DurNs: int64(d)})
 			}
 		}()
 	}
 
-	plain, aggs, dels := e.rulesOfStratum(stratum, only)
+	plain, aggs, dels := e.rulesOfStratum(stratum)
 
 	// Aggregate rules read only lower strata (guaranteed by
 	// stratification), so they run once, first.
 	for _, r := range aggs {
-		if err := e.evalAggregate(c, r); err != nil {
+		if err := e.evalAggregate(r); err != nil {
 			return err
 		}
 	}
@@ -421,10 +287,10 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 	switch e.Mode {
 	case Naive:
 		for {
-			c.stats.Iterations++
+			e.Stats.Iterations++
 			added := 0
 			for _, r := range plain {
-				ts, err := e.evalRuleCollect(c, r, -1, nil)
+				ts, err := e.evalRuleCollect(r, -1, nil)
 				if err != nil {
 					return err
 				}
@@ -437,9 +303,9 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 	default: // SemiNaive
 		// Round 0: evaluate every rule on the full database.
 		delta := map[string][]value.Tuple{}
-		c.stats.Iterations++
+		e.Stats.Iterations++
 		for _, r := range plain {
-			newTs, err := e.evalRuleCollect(c, r, -1, nil)
+			newTs, err := e.evalRuleCollect(r, -1, nil)
 			if err != nil {
 				return err
 			}
@@ -450,7 +316,7 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 		// Subsequent rounds: join each recursive atom against the delta,
 		// through the rule's per-literal delta plan.
 		for len(delta) > 0 {
-			c.stats.Iterations++
+			e.Stats.Iterations++
 			next := map[string][]value.Tuple{}
 			for _, r := range plain {
 				for bi, l := range r.Body {
@@ -461,7 +327,7 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 					if len(d) == 0 {
 						continue
 					}
-					newTs, err := e.evalRuleCollect(c, r, bi, d)
+					newTs, err := e.evalRuleCollect(r, bi, d)
 					if err != nil {
 						return err
 					}
@@ -476,7 +342,7 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 
 	// Delete rules run after the stratum reaches fixpoint.
 	for _, r := range dels {
-		if err := e.evalDelete(c, r); err != nil {
+		if err := e.evalDelete(r); err != nil {
 			return err
 		}
 	}
@@ -486,13 +352,13 @@ func (e *Engine) runStratum(c *evalCtx, stratum int, only []*ndlog.Rule) error {
 // evalRuleCollect evaluates r through its compiled plan (the full plan,
 // or the delta plan for body literal deltaIdx) and inserts derived heads,
 // returning the newly inserted tuples.
-func (e *Engine) evalRuleCollect(c *evalCtx, r *ndlog.Rule, deltaIdx int, delta []value.Tuple) ([]value.Tuple, error) {
+func (e *Engine) evalRuleCollect(r *ndlog.Rule, deltaIdx int, delta []value.Tuple) ([]value.Tuple, error) {
 	plans := e.An.Plans[r]
 	plan := plans.Full
 	if deltaIdx >= 0 {
 		plan = plans.Delta[deltaIdx]
 	}
-	x := e.exec(c, plan)
+	x := e.exec(plan)
 
 	ro := e.ruleObs[r]
 	var t0 time.Time
@@ -506,14 +372,14 @@ func (e *Engine) evalRuleCollect(c *evalCtx, r *ndlog.Rule, deltaIdx int, delta 
 		if err := plan.BuildHead(x.Env(), t); err != nil {
 			return fmt.Errorf("datalog: head of %s: %w", r.Head.Pred, err)
 		}
-		c.stats.Derivations++
+		e.Stats.Derivations++
 		ro.addFiring()
 		isNew, err := rel.Insert(t)
 		if err != nil {
 			return err
 		}
 		if isNew {
-			c.stats.NewTuples++
+			e.Stats.NewTuples++
 			if ro != nil {
 				ro.emitted.Add(1)
 				if e.tracer != nil {
@@ -528,7 +394,7 @@ func (e *Engine) evalRuleCollect(c *evalCtx, r *ndlog.Rule, deltaIdx int, delta 
 		}
 		return nil
 	})
-	c.stats.JoinProbes += int(probes)
+	e.Stats.JoinProbes += int(probes)
 	if ro != nil {
 		ro.probes.Add(probes)
 		ro.eval.Observe(time.Since(t0))
@@ -558,9 +424,9 @@ func (ro *ruleObs) addFiring() {
 }
 
 // evalDelete evaluates a delete rule, removing matching head tuples.
-func (e *Engine) evalDelete(c *evalCtx, r *ndlog.Rule) error {
+func (e *Engine) evalDelete(r *ndlog.Rule) error {
 	plan := e.An.Plans[r].Full
-	x := e.exec(c, plan)
+	x := e.exec(plan)
 
 	ro := e.ruleObs[r]
 	var t0 time.Time
@@ -577,7 +443,7 @@ func (e *Engine) evalDelete(c *evalCtx, r *ndlog.Rule) error {
 		victims = append(victims, t)
 		return nil
 	})
-	c.stats.JoinProbes += int(probes)
+	e.Stats.JoinProbes += int(probes)
 	if ro != nil {
 		ro.probes.Add(probes)
 		ro.eval.Observe(time.Since(t0))
@@ -594,136 +460,41 @@ func (e *Engine) evalDelete(c *evalCtx, r *ndlog.Rule) error {
 	return nil
 }
 
-// evalAggregate evaluates an aggregate-head rule: group by the non-
-// aggregate head arguments and fold the aggregated variable.
-func (e *Engine) evalAggregate(c *evalCtx, r *ndlog.Rule) error {
+// evalAggregate evaluates an aggregate-head rule through the shared fold
+// (store.Aggregate) and inserts one head tuple per group, in sorted
+// group-key order.
+func (e *Engine) evalAggregate(r *ndlog.Rule) error {
 	plan := e.An.Plans[r].Full
-	if plan.AggIdx < 0 {
-		return fmt.Errorf("datalog: rule %s is not an aggregate rule", r.Label)
-	}
-	x := e.exec(c, plan)
+	x := e.exec(plan)
 
 	ro := e.ruleObs[r]
-	var t0 time.Time
 	if ro != nil {
-		t0 = time.Now()
+		defer func(t0 time.Time) { ro.eval.Observe(time.Since(t0)) }(time.Now())
 	}
-	type group struct {
-		key  value.Tuple // non-aggregate head values
-		best value.V
-		n    int64
-		ants []prov.ID // contributing tuple versions (capped)
+	var ants func() []prov.ID
+	if e.prov.Enabled() {
+		ants = func() []prov.ID { return e.collectAnts(plan, x) }
 	}
-	// maxAggAnts bounds the antecedents recorded per aggregate group so a
-	// wide group cannot bloat the provenance arena.
-	const maxAggAnts = 16
-	groups := map[string]*group{}
-	collect := func(g *group) {
-		if !e.prov.Enabled() || len(g.ants) >= maxAggAnts {
-			return
-		}
-	next:
-		for _, si := range plan.AntSteps {
-			st := &plan.Steps[si]
-			id := e.prov.Current("", st.Pred, x.CurTuple(si))
-			if id == 0 {
-				continue
-			}
-			for _, have := range g.ants {
-				if have == id {
-					continue next
-				}
-			}
-			g.ants = append(g.ants, id)
-			if len(g.ants) >= maxAggAnts {
-				return
-			}
-		}
-	}
-	probes, err := x.Run(e, nil, nil, func(frame []value.V) error {
-		key := make(value.Tuple, 0, len(plan.HeadExprs)-1)
-		for i, ce := range plan.HeadExprs {
-			if i == plan.AggIdx {
-				continue
-			}
-			v, err := ce.Eval(x.Env())
-			if err != nil {
-				return err
-			}
-			key = append(key, v)
-		}
-		var av value.V
-		if plan.AggSlot >= 0 {
-			av = frame[plan.AggSlot]
-		}
-		k := key.Key()
-		g, ok := groups[k]
-		if !ok {
-			if plan.AggKind == "sum" && av.K != value.KindInt {
-				return fmt.Errorf("datalog: rule %s: sum over non-integer", r.Label)
-			}
-			g = &group{key: key, best: av, n: 1}
-			groups[k] = g
-			collect(g)
-			return nil
-		}
-		g.n++
-		collect(g)
-		switch plan.AggKind {
-		case "min":
-			if av.Compare(g.best) < 0 {
-				g.best = av
-			}
-		case "max":
-			if av.Compare(g.best) > 0 {
-				g.best = av
-			}
-		case "sum":
-			if av.K != value.KindInt || g.best.K != value.KindInt {
-				return fmt.Errorf("datalog: rule %s: sum over non-integer", r.Label)
-			}
-			g.best = value.Int(g.best.I + av.I)
-		}
-		return nil
-	})
-	c.stats.JoinProbes += int(probes)
+	groups, probes, err := store.Aggregate(x, e, nil, ants)
+	e.Stats.JoinProbes += int(probes)
 	if ro != nil {
 		ro.probes.Add(probes)
-		defer func() { ro.eval.Observe(time.Since(t0)) }()
 	}
 	if err != nil {
 		return err
 	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
 	rel := e.rels[r.Head.Pred]
-	var keys []string
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := groups[k]
-		out := make(value.Tuple, len(r.Head.Args))
-		gi := 0
-		for i := range r.Head.Args {
-			if i == plan.AggIdx {
-				if plan.AggKind == "count" {
-					out[i] = value.Int(g.n)
-				} else {
-					out[i] = g.best
-				}
-				continue
-			}
-			out[i] = g.key[gi]
-			gi++
-		}
-		c.stats.Derivations++
+	for _, g := range groups {
+		out := g.Head(plan)
+		e.Stats.Derivations++
 		ro.addFiring()
 		isNew, err := rel.Insert(out)
 		if err != nil {
 			return err
 		}
 		if isNew {
-			c.stats.NewTuples++
+			e.Stats.NewTuples++
 			if ro != nil {
 				ro.emitted.Add(1)
 				if e.tracer != nil {
@@ -731,7 +502,7 @@ func (e *Engine) evalAggregate(c *evalCtx, r *ndlog.Rule) error {
 				}
 			}
 			if e.prov.Enabled() {
-				cause := e.prov.Rule(0, "", r.Label, g.ants)
+				cause := e.prov.Rule(0, "", r.Label, g.Ants)
 				e.prov.Tuple(0, "", r.Head.Pred, out, cause)
 			}
 		}

@@ -227,8 +227,11 @@ func (r *ChaosReport) JSON() []byte {
 }
 
 // RunChaos executes the program source over topo under plan and checks
-// the route invariants at quiescence. topo is mutated in place by the
-// faults; pass a fresh topology per run. Cancelling ctx stops the
+// the route invariants at quiescence. The checks read path vector's
+// bestPathCost(S,D,C) and bestPath(S,D,P,C) by position, so a program
+// that does not derive both with those arities is refused with an error
+// before anything runs. topo is mutated in place by the faults; pass a
+// fresh topology per run. Cancelling ctx stops the
 // simulation between events and returns a report with Cancelled set and
 // the invariant checks skipped — a cancelled run is inconclusive, never
 // a pass or a violation.
@@ -249,6 +252,9 @@ func runChaos(ctx context.Context, src string, topo *netgraph.Topology, plan *fa
 	}
 	prog, err := ndlog.Parse("chaos", src)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkRouteRelations(prog); err != nil {
 		return nil, nil, err
 	}
 	if !o.Hard {
@@ -418,6 +424,36 @@ func runChaos(ctx context.Context, src string, topo *netgraph.Topology, plan *fa
 		rep.RootCause = rootCause(net, plan, rep.Violations)
 	}
 	return rep, net, nil
+}
+
+// routeRelations are the relations, with their arities, that checkRoutes
+// and the recovery sampler read by position.
+var routeRelations = []struct {
+	pred  string
+	arity int
+}{{"bestPathCost", 3}, {"bestPath", 4}}
+
+// checkRouteRelations refuses a program the route checks cannot read:
+// one that has no rule deriving one of routeRelations, or has a rule
+// deriving one at another arity.
+func checkRouteRelations(prog *ndlog.Program) error {
+	for _, rr := range routeRelations {
+		derived := false
+		for _, r := range prog.Rules {
+			if r.Delete || r.Head.Pred != rr.pred {
+				continue
+			}
+			if len(r.Head.Args) != rr.arity {
+				return fmt.Errorf("dist: chaos checks read %s/%d, but rule %s derives %s/%d",
+					rr.pred, rr.arity, r.Label, rr.pred, len(r.Head.Args))
+			}
+			derived = true
+		}
+		if !derived {
+			return fmt.Errorf("dist: chaos checks read %s/%d, which the program does not derive", rr.pred, rr.arity)
+		}
+	}
+	return nil
 }
 
 // nodeRoutesMatch reports whether src's bestPathCost table exactly equals

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -23,6 +24,46 @@ func TestChaosCleanRun(t *testing.T) {
 	}
 	if len(rep.Live) != 5 {
 		t.Errorf("live = %v, want all 5", rep.Live)
+	}
+}
+
+// uncheckablePrograms are NDlog programs the chaos route checks cannot
+// read: reach derives neither bestPathCost nor bestPath, and arity2
+// derives bestPathCost with two columns where the checks read three.
+var uncheckablePrograms = []struct{ name, src string }{
+	{"reach", `
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(reach, infinity, infinity, keys(1,2)).
+r1 reach(@S,D) :- link(@S,D,C).
+r2 reach(@S,D) :- link(@S,Z,C), reach(@Z,D).
+`},
+	{"arity2", `
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(bestPathCost, infinity, infinity, keys(1,2)).
+materialize(bestPath, infinity, infinity, keys(1,2)).
+b1 bestPathCost(@S,D) :- link(@S,D,C).
+b2 bestPath(@S,D,P,C) :- link(@S,D,C), P=f_init(S,D).
+`},
+}
+
+// TestRunChaosRefusesUncheckablePrograms: RunChaos must refuse, before
+// simulating, a program that does not derive bestPathCost/3 and
+// bestPath/4. Unrefused, the reachability program fails every route
+// check (30 safety violations on this plan), and the arity-2 program
+// panics in the recovery sampler after the plan's crash and restart.
+func TestRunChaosRefusesUncheckablePrograms(t *testing.T) {
+	for _, p := range uncheckablePrograms {
+		t.Run(p.name, func(t *testing.T) {
+			topo := netgraph.Ring(6)
+			plan := faults.Generate(7, topo, faults.DefaultGenOptions())
+			rep, err := RunChaos(context.Background(), p.src, topo, plan, ChaosOptions{Seed: 7})
+			if err == nil {
+				t.Fatalf("program accepted; report has %d violations", len(rep.Violations))
+			}
+			if !strings.Contains(err.Error(), "bestPathCost/3") {
+				t.Errorf("error %q does not name bestPathCost/3", err)
+			}
+		})
 	}
 }
 

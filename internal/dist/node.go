@@ -545,18 +545,14 @@ func (n *Node) collectAnts(plan *ndlog.Plan, x *store.Exec, ants []prov.ID) []pr
 	return ants
 }
 
-// maxAggAnts bounds the antecedents retained per aggregate group: an
-// aggregate over a large group cites its first contributors rather than
-// growing an unbounded lineage list.
-const maxAggAnts = 16
-
-// evalAggregate recomputes an aggregate rule and emits the per-group
-// results. A non-nil seed binds the group variables, restricting both the
-// join (via the compiled seeded plan) and the output to one group; a
-// seeded recompute that finds the group empty deletes the stale aggregate
-// tuple locally. Emitting into a keyed table makes the recompute
-// idempotent: unchanged groups are no-ops. Groups are emitted in
-// first-seen order, which is deterministic under the seeded scan shuffle.
+// evalAggregate recomputes an aggregate rule through the shared fold
+// (store.Aggregate) and emits the per-group results. A non-nil seed binds
+// the group variables, restricting both the join (via the compiled seeded
+// plan) and the output to one group; a seeded recompute that finds the
+// group empty deletes the stale aggregate tuple locally. Emitting into a
+// keyed table makes the recompute idempotent: unchanged groups are
+// no-ops. Groups are emitted in first-seen order, which is deterministic
+// under the seeded scan shuffle.
 func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivation, error) {
 	ro := n.net.ruleObs[r]
 	if ro != nil && ro.eval != nil {
@@ -575,81 +571,14 @@ func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivati
 		seed = nil // no seeded plan: recompute every group
 	}
 	x := n.net.exec(plan)
-
-	type group struct {
-		key  value.Tuple // non-aggregate head values
-		best value.V
-		cnt  int64
-		ants []prov.ID // contributing tuple versions (capped)
-	}
-	groups := map[string]*group{}
-	var order []string // first-seen group keys, for deterministic emission
-	collect := func(g *group) {
-		if !n.net.prov.Enabled() || len(g.ants) >= maxAggAnts {
-			return
-		}
-		tmp := n.collectAnts(plan, x, n.net.provAnts[:0])
-		n.net.provAnts = tmp
-	next:
-		for _, id := range tmp {
-			if len(g.ants) >= maxAggAnts {
-				break
-			}
-			for _, have := range g.ants {
-				if have == id {
-					continue next
-				}
-			}
-			g.ants = append(g.ants, id)
+	var ants func() []prov.ID
+	if n.net.prov.Enabled() {
+		ants = func() []prov.ID {
+			n.net.provAnts = n.collectAnts(plan, x, n.net.provAnts[:0])
+			return n.net.provAnts
 		}
 	}
-	probes, err := x.Run(n, nil, seedVals, func(frame []value.V) error {
-		key := make(value.Tuple, 0, len(plan.HeadExprs)-1)
-		for i, ce := range plan.HeadExprs {
-			if i == plan.AggIdx {
-				continue
-			}
-			v, err := ce.Eval(x.Env())
-			if err != nil {
-				return err
-			}
-			key = append(key, v)
-		}
-		var av value.V
-		if plan.AggSlot >= 0 {
-			av = frame[plan.AggSlot]
-		}
-		k := key.Key()
-		g, ok := groups[k]
-		if !ok {
-			if plan.AggKind == "sum" && av.K != value.KindInt {
-				return fmt.Errorf("dist: rule %s: sum over non-integer", r.Label)
-			}
-			g = &group{key: key, best: av, cnt: 1}
-			groups[k] = g
-			order = append(order, k)
-			collect(g)
-			return nil
-		}
-		g.cnt++
-		collect(g)
-		switch plan.AggKind {
-		case "min":
-			if av.Compare(g.best) < 0 {
-				g.best = av
-			}
-		case "max":
-			if av.Compare(g.best) > 0 {
-				g.best = av
-			}
-		case "sum":
-			if av.K != value.KindInt {
-				return fmt.Errorf("dist: rule %s: sum over non-integer", r.Label)
-			}
-			g.best = value.Int(g.best.I + av.I)
-		}
-		return nil
-	})
+	groups, probes, err := store.Aggregate(x, n, seedVals, ants)
 	n.net.nm.joinProbes.Add(probes)
 	if ro != nil {
 		ro.probes.Add(probes)
@@ -663,22 +592,8 @@ func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivati
 		return n.retractAggGroup(r, plan.AggIdx, seed)
 	}
 	var out []derivation
-	for _, k := range order {
-		g := groups[k]
-		tup := make(value.Tuple, len(r.Head.Args))
-		gi := 0
-		for i := range r.Head.Args {
-			if i == plan.AggIdx {
-				if plan.AggKind == "count" {
-					tup[i] = value.Int(g.cnt)
-				} else {
-					tup[i] = g.best
-				}
-				continue
-			}
-			tup[i] = g.key[gi]
-			gi++
-		}
+	for _, g := range groups {
+		tup := g.Head(plan)
 		loc, err := n.headLoc(r, tup)
 		if err != nil {
 			return nil, err
@@ -690,7 +605,7 @@ func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivati
 		}
 		var cause prov.ID
 		if n.net.prov.Enabled() {
-			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, g.ants)
+			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, g.Ants)
 		}
 		out = append(out, derivation{pred: r.Head.Pred, tup: tup, loc: loc, cause: cause})
 	}

@@ -21,8 +21,13 @@ var sweepKnownFailures = map[uint64][]int{
 	9: {188},
 }
 
+// sweepOps is how many chaos ops per seed the sweep runs. A 30 s
+// chaos-campaign benchmark run on a quiet 2-vCPU host completed 193 to
+// 211 ops (seeds 4, 9 and 5), so ops 0-259 cover every op it reaches.
+const sweepOps = 260
+
 // TestChaosSweep runs the chaos ops of the repository benchmark's
-// chaos-campaign workload, ops 0-199 of seeds 1-10, built exactly as
+// chaos-campaign workload, ops 0-259 of seeds 1-10, built exactly as
 // perfbench builds them: the plan seed is faults.Mix(seed, op), even ops
 // are plain runs, and odd ops are self-healing runs (Reliable,
 // CheckpointEvery 10, AntiEntropy, 3 crashes) on ring:8. An op fails on
@@ -43,7 +48,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			var failed []int
-			for op := 0; op < 200; op++ {
+			for op := 0; op < sweepOps; op++ {
 				o, gen := DefaultChaosOptions(), faults.DefaultGenOptions()
 				if op%2 == 1 {
 					o, gen = heal, crashGen

@@ -1,6 +1,10 @@
 package logic
 
-import "repro/internal/value"
+import (
+	"slices"
+
+	"repro/internal/value"
+)
 
 // This file implements structural hashing of terms and formulas. A hash is
 // a pure function of a node's content (names, constants, shape), so it is
@@ -291,24 +295,30 @@ func FormulaHash(f Formula) uint64 {
 
 // TheoryFingerprint hashes the proof-relevant content of a theory — its
 // inductive definitions and axioms (theorems do not affect provability of
-// other goals). Mixing is order-insensitive (XOR of per-item hashes), so
-// declaration order does not change the fingerprint. The fingerprint is the
+// other goals). The per-item hashes are sorted and then folded, so
+// declaration order does not change the fingerprint, while a repeated
+// item still counts: no pair of items cancels. The fingerprint is the
 // theory half of the obligation-cache key.
 func TheoryFingerprint(t *Theory) uint64 {
 	if t == nil {
 		return 0
 	}
-	var acc uint64
+	items := make([]uint64, 0, len(t.Inductives)+len(t.Axioms))
 	for _, d := range t.Inductives {
 		h := fold(hashSeed(tagInductive), hashString(d.Name))
 		for _, p := range d.Params {
 			h = fold(h, hashString(p.Name))
 		}
 		h = fold(h, FormulaHash(d.Body))
-		acc ^= mix64(h)
+		items = append(items, mix64(h))
 	}
 	for _, a := range t.Axioms {
-		acc ^= mix64(fold(fold(hashSeed(tagAxiom), hashString(a.Name)), FormulaHash(a.Goal)))
+		items = append(items, mix64(fold(fold(hashSeed(tagAxiom), hashString(a.Name)), FormulaHash(a.Goal))))
+	}
+	slices.Sort(items)
+	acc := uint64(fnvOffset)
+	for _, h := range items {
+		acc = fold(acc, h)
 	}
 	return mix64(acc)
 }

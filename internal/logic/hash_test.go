@@ -98,3 +98,40 @@ func TestQuantifierInterning(t *testing.T) {
 		t.Error("forall and exists share an identity")
 	}
 }
+
+// TestTheoryFingerprintRepeatedItems: the fingerprint ignores declaration
+// order, but repeated items must not cancel. A theory declaring one axiom
+// twice must fingerprint apart from the empty theory and from the theory
+// declaring it once, or the proof cache could replay a proof that needed
+// the axiom for a theory without it.
+func TestTheoryFingerprintRepeatedItems(t *testing.T) {
+	p := Pred{Name: "p", Args: []Term{IntT(1)}}
+	q := Pred{Name: "q", Args: []Term{IntT(2)}}
+	theory := func(axioms ...string) *Theory {
+		th := NewTheory("t")
+		for _, name := range axioms {
+			f := Formula(p)
+			if name == "ax2" {
+				f = q
+			}
+			th.AddAxiom(name, f)
+		}
+		return th
+	}
+	empty := TheoryFingerprint(theory())
+	once := TheoryFingerprint(theory("ax1"))
+	twice := TheoryFingerprint(theory("ax1", "ax1"))
+	if twice == empty {
+		t.Errorf("axiom declared twice fingerprints like the empty theory (%#x)", empty)
+	}
+	if twice == once || once == empty {
+		t.Errorf("fingerprints empty %#x, once %#x, twice %#x: want all distinct", empty, once, twice)
+	}
+	pair := TheoryFingerprint(theory("ax1", "ax2", "ax1", "ax2"))
+	if pair == empty || pair == TheoryFingerprint(theory("ax1", "ax2")) {
+		t.Errorf("two repeated axioms cancel: fingerprint %#x", pair)
+	}
+	if TheoryFingerprint(theory("ax1", "ax2")) != TheoryFingerprint(theory("ax2", "ax1")) {
+		t.Error("declaration order changed the fingerprint")
+	}
+}

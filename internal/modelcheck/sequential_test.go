@@ -4,11 +4,9 @@ import "time"
 
 // SeqCheckInvariant is the pre-fingerprinting reference checker: a
 // single-threaded BFS over a visited set keyed by full Key() strings, with
-// string-keyed parent and depth maps. It is retained as the oracle for the
-// sequential-vs-parallel equivalence tests and as the baseline the
-// fingerprinted core is benchmarked against; production callers should use
-// CheckInvariant. Verdict semantics match CheckInvariant exactly,
-// including the cap-at-enqueue truncation rule.
+// string-keyed parent and depth maps. It is the oracle of the
+// sequential-vs-parallel equivalence tests. Verdict semantics match
+// CheckInvariant exactly, including the cap-at-enqueue truncation rule.
 func SeqCheckInvariant(sys System, inv func(State) bool, opts Options) Result {
 	start := time.Now()
 	max := opts.maxStates()

@@ -120,6 +120,31 @@ func TestPerRequestResourceCaps(t *testing.T) {
 	}
 }
 
+// TestChaosRefusesUncheckablePrograms: /chaos accepts any NDlog src, but
+// its route checks read path vector's bestPathCost/3 and bestPath/4. A
+// reachability program derives neither, and a program with a two-column
+// bestPathCost cannot be read by position (unrefused, it panics the job
+// and drops the connection), so both are answered 400.
+func TestChaosRefusesUncheckablePrograms(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for name, src := range map[string]string{
+		"reach": `materialize(link, infinity, infinity, keys(1,2)).
+materialize(reach, infinity, infinity, keys(1,2)).
+r1 reach(@S,D) :- link(@S,D,C).
+r2 reach(@S,D) :- link(@S,Z,C), reach(@Z,D).`,
+		"arity2": `materialize(link, infinity, infinity, keys(1,2)).
+materialize(bestPathCost, infinity, infinity, keys(1,2)).
+materialize(bestPath, infinity, infinity, keys(1,2)).
+b1 bestPathCost(@S,D) :- link(@S,D,C).
+b2 bestPath(@S,D,P,C) :- link(@S,D,C), P=f_init(S,D).`,
+	} {
+		body, _ := json.Marshal(map[string]any{"src": src, "topo": "ring:6", "runs": 3})
+		if code, env := post(t, ts.URL, "/chaos", string(body)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (envelope %v)", name, code, env)
+		}
+	}
+}
+
 // TestAdmissionQueueOverflow: with the single execution slot held and
 // the one queue seat taken, the next request is refused immediately
 // with 429 and a Retry-After hint; when the slot frees, the queued job

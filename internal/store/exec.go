@@ -89,29 +89,6 @@ func CheckDeltaArity(p *ndlog.Plan, delta []value.Tuple) error {
 	return nil
 }
 
-// PreparePlan builds every index p probes and compacts the tables it
-// scans in full. Those are the only lazy mutations a Run makes to the
-// tables it reads, so parallel evaluators call PreparePlan for every plan
-// in a single-threaded phase first; concurrent Runs then only read the
-// shared tables (besides whatever their emit callbacks write).
-func PreparePlan(ts TableSource, p *ndlog.Plan) {
-	for i := range p.Steps {
-		st := &p.Steps[i]
-		if st.Kind != ndlog.StepScan && st.Kind != ndlog.StepNotExists {
-			continue
-		}
-		t := ts.Table(st.Pred)
-		if t == nil {
-			continue
-		}
-		if len(st.KeyCols) > 0 {
-			t.IndexOn(st.KeyCols)
-		} else {
-			t.All() // compact now, not mid-run
-		}
-	}
-}
-
 // Env returns the executor's evaluation environment, for evaluating the
 // plan's head expressions inside an emit callback.
 func (x *Exec) Env() *ndlog.EvalEnv { return &x.env }

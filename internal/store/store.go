@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -31,7 +30,8 @@ const (
 // replaces the first, which is how route updates supersede old routes.
 // Scans run in insertion order, deletes are O(1) via a key→position map
 // with tombstones compacted lazily, and hash indexes are built on demand
-// and maintained incrementally.
+// and maintained incrementally. Even reads may compact or build an index,
+// so a table is single-goroutine state, like the Exec that scans it.
 type Table struct {
 	Name     string
 	Arity    int
@@ -48,9 +48,8 @@ type Table struct {
 	// pins counts outstanding live scans of this table. While pinned,
 	// compact() is deferred (so an All window is never rewritten under an
 	// outer iteration — scans skip the nil tombstones instead) and index
-	// bucket removal copies instead of shifting in place. Atomic because
-	// parallel strata may scan a shared lower-stratum table concurrently.
-	pins atomic.Int32
+	// bucket removal copies instead of shifting in place.
+	pins int
 }
 
 // New returns an empty table. keys are 0-based primary-key columns (nil
@@ -110,7 +109,7 @@ func (t *Table) Put(tup value.Tuple, now float64) (PutResult, value.Tuple, error
 			return PutNoop, old, nil
 		}
 		t.order[pos] = tup
-		cow := t.pins.Load() != 0
+		cow := t.pins != 0
 		for _, ix := range t.indexes {
 			ix.remove(old, cow)
 			ix.add(tup)
@@ -166,7 +165,7 @@ func (t *Table) removeAt(key string, pos int) {
 	}
 	t.order[pos] = nil
 	t.holes++
-	cow := t.pins.Load() != 0
+	cow := t.pins != 0
 	for _, ix := range t.indexes {
 		ix.remove(old, cow)
 	}
@@ -202,10 +201,10 @@ func (t *Table) RefreshAt(key string) (float64, bool) {
 // deletions: deleted entries become nil tombstones in place instead of
 // shifting surviving tuples under the iteration. Pins nest. Scanners
 // must skip nil entries while a pin may be held.
-func (t *Table) Pin() { t.pins.Add(1) }
+func (t *Table) Pin() { t.pins++ }
 
 // Unpin releases one Pin.
-func (t *Table) Unpin() { t.pins.Add(-1) }
+func (t *Table) Unpin() { t.pins-- }
 
 // All returns the live tuples in insertion order. The slice aliases the
 // table's storage: callers must not mutate it, and deletions invalidate
@@ -235,7 +234,7 @@ func (t *Table) Snapshot() []value.Tuple {
 }
 
 func (t *Table) compact() {
-	if t.holes == 0 || t.pins.Load() != 0 {
+	if t.holes == 0 || t.pins != 0 {
 		return
 	}
 	live := t.order[:0]
@@ -292,8 +291,8 @@ func (t *Table) Clear() {
 // Lookup returns the tuples whose cols project onto vals, via a hash
 // index built on first use. With no columns it returns all tuples. The
 // result aliases internal storage. The key is built in a local buffer,
-// never in shared index state, so concurrent lookups through distinct
-// callers cannot serve each other stale keys.
+// never in shared index state, so a nested lookup cannot overwrite an
+// outer lookup's key.
 func (t *Table) Lookup(cols []int, vals []value.V) []value.Tuple {
 	if len(cols) == 0 {
 		return t.All()
@@ -312,10 +311,7 @@ func (t *Table) Lookup(cols []int, vals []value.V) []value.Tuple {
 
 // IndexOn returns the hash index over cols, building it on first use
 // from the insertion-order scan (deterministic) and maintaining it
-// incrementally afterwards. The first call for a column set mutates the
-// table, so it must not run while another goroutine reads the table;
-// parallel evaluators build every index they probe in a single-threaded
-// phase first (see PreparePlan).
+// incrementally afterwards.
 func (t *Table) IndexOn(cols []int) *Index {
 	var sig strings.Builder
 	for i, c := range cols {
