@@ -393,9 +393,9 @@ func cmdRun(args []string) error {
 	topoSpec := fs.String("topo", "ring:4", "topology spec, e.g. ring:5")
 	pred := fs.String("pred", "", "predicate to dump after the run")
 	maxTime := fs.Float64("maxtime", 10000, "simulated time bound")
-	loss := fs.Float64("loss", 0, "message loss rate")
-	dup := fs.Float64("dup", 0, "message duplication rate")
-	jitter := fs.Float64("delay-jitter", 0, "max extra per-message delay (uniform)")
+	loss := fs.Float64("loss", 0, "per-link message loss rate (default fault channel)")
+	dup := fs.Float64("dup", 0, "per-link message duplication rate (default fault channel)")
+	jitter := fs.Float64("delay-jitter", 0, "max extra per-message delay, uniform (default fault channel)")
 	planPath := fs.String("fault-plan", "", "apply a declarative fault plan (JSON file)")
 	seed := fs.Uint64("seed", 0, "PRNG seed for scan shuffle and fault channels")
 	reliable := fs.Bool("reliable", false, "ack/retransmit message delivery with capped exponential backoff")
@@ -418,9 +418,6 @@ func cmdRun(args []string) error {
 	}
 	opts := dist.Options{
 		MaxTime:           *maxTime,
-		LossRate:          *loss,
-		DupRate:           *dup,
-		DelayJitter:       *jitter,
 		Seed:              *seed,
 		LoadTopologyLinks: true,
 		Reliable:          *reliable,
@@ -438,18 +435,23 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The noise flags set the plan's default channel; a plan file's own
+	// default channel wins.
+	plan := &faults.Plan{}
 	if *planPath != "" {
 		data, err := os.ReadFile(*planPath)
 		if err != nil {
 			return err
 		}
-		plan, err := faults.Parse(data)
-		if err != nil {
+		if plan, err = faults.Parse(data); err != nil {
 			return err
 		}
-		if err := net.ApplyPlan(plan); err != nil {
-			return err
-		}
+	}
+	if plan.Default.Zero() {
+		plan.Default = faults.Channel{Loss: *loss, Dup: *dup, Jitter: *jitter}
+	}
+	if err := net.ApplyPlan(plan); err != nil {
+		return err
 	}
 	ctx, cancel := of.context()
 	defer cancel()

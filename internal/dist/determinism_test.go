@@ -45,7 +45,6 @@ func runSeededOpts(t *testing.T, seed uint64, withPlan, selfHeal bool) (Result, 
 	opts := Options{
 		MaxTime:           10_000,
 		LoadTopologyLinks: true,
-		LossRate:          0.2,
 		Seed:              seed,
 		Trace:             obs.NewTracer(ring),
 	}
@@ -57,6 +56,9 @@ func runSeededOpts(t *testing.T, seed uint64, withPlan, selfHeal bool) (Result, 
 	}
 	net, err := NewNetwork(ndlog.MustParse("pv", pathVectorSrc), netgraph.Ring(6), opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.2}}); err != nil {
 		t.Fatal(err)
 	}
 	// A link failure mid-run exercises the event paths beyond plain
@@ -81,8 +83,8 @@ func runSeededOpts(t *testing.T, seed uint64, withPlan, selfHeal bool) (Result, 
 
 // TestSameSeedRunsBitForBitReproducible pins the determinism contract:
 // every remaining source of randomness in the distributed runtime — the
-// seeded scan shuffle, the legacy loss PRNG, and each fault channel's
-// own substream — derives from Options.Seed, so two runs with equal
+// seeded scan shuffle and each fault channel's own substream — derives
+// from Options.Seed, so two runs with equal
 // seeds must produce identical statistics and identical trace streams,
 // event for event. The withPlan variant repeats the check under a full
 // fault plan (noisy channels, a flap, a crash/restart, a partition with

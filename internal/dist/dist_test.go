@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/ndlog"
 	"repro/internal/netgraph"
 	"repro/internal/value"
@@ -255,8 +256,11 @@ func TestMessageLossStillConverges(t *testing.T) {
 	// a subset of routes; the run must still quiesce without error.
 	topo := netgraph.Clique(4)
 	prog := ndlog.MustParse("pv", pathVectorSrc)
-	net, err := NewNetwork(prog, topo, Options{MaxTime: 10000, LossRate: 0.3, Seed: 7, LoadTopologyLinks: true})
+	net, err := NewNetwork(prog, topo, Options{MaxTime: 10000, Seed: 7, LoadTopologyLinks: true})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.3}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run()

@@ -451,9 +451,12 @@ a1 heard(@M,N) :- announce(@N,M,S), link(@N,M,C).
 `
 	topo := netgraph.Line(2)
 	net, err := NewNetwork(ndlog.MustParse("soft", src), topo, Options{
-		MaxTime: 500, LossRate: 0.5, Seed: 3, LoadTopologyLinks: true,
+		MaxTime: 500, Seed: 3, LoadTopologyLinks: true,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {

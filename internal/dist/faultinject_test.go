@@ -139,9 +139,11 @@ func TestDuplicateDeliveryIsHarmless(t *testing.T) {
 			MaxTime:           10_000,
 			LoadTopologyLinks: true,
 			Seed:              9,
-			DupRate:           dup,
 		})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Dup: dup}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := net.Run(); err != nil {
@@ -152,7 +154,7 @@ func TestDuplicateDeliveryIsHarmless(t *testing.T) {
 	clean, cs := run(0)
 	dup, ds := run(0.5)
 	if ds.MessagesDuplicated == 0 {
-		t.Fatal("DupRate 0.5 duplicated nothing")
+		t.Fatal("dup 0.5 duplicated nothing")
 	}
 	if ds.MessagesSent <= cs.MessagesSent {
 		t.Errorf("duplication did not increase traffic: %d vs %d", ds.MessagesSent, cs.MessagesSent)
@@ -211,12 +213,11 @@ func TestConservationWithDuplicationAndPending(t *testing.T) {
 		MaxTime:           10_000,
 		LoadTopologyLinks: true,
 		Seed:              21,
-		LossRate:          0.1,
-		DupRate:           0.3,
-		DelayJitter:       1.5,
-		ReorderRate:       0.4,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.1, Dup: 0.3, Jitter: 1.5, Reorder: 0.4}}); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate mid-flood so messages are genuinely pending.
@@ -245,6 +246,6 @@ func TestConservationWithDuplicationAndPending(t *testing.T) {
 		t.Errorf("conservation violated at quiescence: %+v", s)
 	}
 	if s.MessagesDuplicated == 0 {
-		t.Error("expected duplications with DupRate 0.3")
+		t.Error("expected duplications with dup 0.3")
 	}
 }

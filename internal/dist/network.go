@@ -35,21 +35,10 @@ type Options struct {
 	// MaxTime bounds simulated time; a run that is still generating events
 	// at MaxTime is reported as not converged (oscillation / divergence).
 	MaxTime float64
-	// LossRate drops each message with this probability (deterministic
-	// pseudo-randomness from Seed). It predates the fault-channel model
-	// below and draws from its own global stream, so existing seeded runs
-	// are unchanged by the channel machinery.
-	LossRate float64
-	// DupRate delivers an extra copy of each message with this
-	// probability; DelayJitter adds a uniform [0,DelayJitter) to each
-	// message's latency; ReorderRate additionally delays a message by up
-	// to twice the link latency so it can arrive behind later traffic.
-	// These populate the default fault channel (see internal/faults);
-	// per-link overrides come from ApplyPlan.
-	DupRate     float64
-	DelayJitter float64
-	ReorderRate float64
-	Seed        uint64
+	// Seed drives every source of randomness: the scan shuffle and each
+	// link's fault-channel substream. Channel noise itself comes from a
+	// fault plan (ApplyPlan).
+	Seed uint64
 	// LoadTopologyLinks populates each node's link table from the topology
 	// (link(@src, dst, cost)). Enabled for programs that declare link/3.
 	LoadTopologyLinks bool
@@ -230,15 +219,13 @@ type Network struct {
 
 	lastChange float64
 
-	rngState uint64
-
-	// Fault channels: defaultChan comes from Options (DupRate etc.) or a
-	// plan's Default; chanOverrides holds per-directed-link channels from
-	// ApplyPlan. chans caches resolved per-link channel state, each with
-	// its own Substream(seed, "chan", src, dst) PRNG, so channel draws are
+	// Fault channels, all from ApplyPlan: defaultChan is the plan's
+	// Default; chanOverrides holds per-directed-link channels. chans
+	// caches resolved per-link channel state, each with its own
+	// Substream(seed, "chan", src, dst) PRNG, so channel draws are
 	// independent of creation order and of every other fault source.
-	// hasChans gates the whole machinery: when false, sends take exactly
-	// the pre-fault code path (bit-for-bit compatibility).
+	// hasChans gates the whole machinery: when false, every link is
+	// noiseless and sends skip the channel lookup.
 	defaultChan   faults.Channel
 	chanOverrides map[string]faults.Channel
 	chans         map[string]*chanState
@@ -313,22 +300,16 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		opts.MaxTime = DefaultOptions().MaxTime
 	}
 	n := &Network{
-		prog:     localized,
-		an:       lan,
-		topo:     topo,
-		opts:     opts,
-		nodes:    map[string]*Node{},
-		execs:    map[*ndlog.Plan]*store.Exec{},
-		shuf:     store.NewShuffler(opts.Seed),
-		rngState: opts.Seed ^ 0xdeadbeefcafef00d,
-		history:  map[string][2]string{},
-		prov:     opts.Prov,
+		prog:    localized,
+		an:      lan,
+		topo:    topo,
+		opts:    opts,
+		nodes:   map[string]*Node{},
+		execs:   map[*ndlog.Plan]*store.Exec{},
+		shuf:    store.NewShuffler(opts.Seed),
+		history: map[string][2]string{},
+		prov:    opts.Prov,
 
-		defaultChan: faults.Channel{
-			Dup:     opts.DupRate,
-			Jitter:  opts.DelayJitter,
-			Reorder: opts.ReorderRate,
-		},
 		chanOverrides: map[string]faults.Channel{},
 		chans:         map[string]*chanState{},
 		rel:           map[string]*relState{},
@@ -342,7 +323,6 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		waveSeen:      map[string]bool{},
 		compVer:       -1, // force the first reachability query to compute
 	}
-	n.hasChans = !n.defaultChan.Zero()
 	for _, r := range localized.Rules {
 		n.derived[r.Head.Pred] = true
 		agg, _ := r.Head.HeadAgg()
@@ -560,25 +540,24 @@ type event struct {
 	// partition events
 	pid   int
 	group []string
-	// messages: the sender-side provenance entry (rule firing) that
-	// emitted the carried tuple; resolved into a delivery edge on admit.
+	// injections: the provenance entry that caused the injected tuple
+	// (a restart's checkpoint replay).
 	cause prov.ID
-	// reliable-channel fields: rel marks a message carrying a per-link
-	// sequence number (rseq); attempt is 0 for the original transmission
-	// and the retry count for retransmitted copies; evRelRetx and evAck
-	// reuse rseq. repair marks anti-entropy pulls (provenance label).
-	rel     bool
+	// reliable-channel fields: a message is reliable exactly when it
+	// carries a per-link sequence number (rseq > 0); attempt is 0 for the
+	// original transmission and the retry count for retransmitted copies;
+	// evRelRetx and evAck reuse rseq. repair marks anti-entropy pulls
+	// (provenance label).
 	repair  bool
 	rseq    int64
 	attempt int
-	// entries, when non-nil, marks an epoch-batched message: every remote
-	// derivation one event pushed over this link, delivered (and
-	// retransmitted) as a unit. pred/tup then hold the first entry as the
-	// representative for traces. nil means a classic single-tuple message.
+	// entries is a message's payload: every tuple and retraction one
+	// event pushed over this link, delivered (and retransmitted) as a
+	// unit. entries[0] stands for the message in traces.
 	entries []msgEntry
 }
 
-// msgEntry is one tuple (or retraction) inside an epoch-batched message.
+// msgEntry is one tuple (or retraction) inside a message.
 type msgEntry struct {
 	pred  string
 	tup   value.Tuple
@@ -770,12 +749,6 @@ func (n *Network) linkSpec(a, b string) (int64, float64) {
 	return 1, 1
 }
 
-// rand01 returns a deterministic pseudo-random float in [0,1).
-func (n *Network) rand01() float64 {
-	n.rngState = n.rngState*6364136223846793005 + 1442695040888963407
-	return float64(n.rngState>>11) / float64(1<<53)
-}
-
 // topoIndex caches per-link and per-node lookups over the live topology.
 // It is rebuilt lazily whenever topoVer moves: at 10^5 nodes and 10^6
 // links the linear scans it replaces (the per-transmit latency lookup,
@@ -851,7 +824,9 @@ type chanState struct {
 
 // chanFor resolves (and caches) the fault channel of the src→dst link:
 // a per-link override from the plan, else the default channel. A nil
-// result means the link is noiseless.
+// result means the link is noiseless. Resolving a channel draws nothing
+// from its PRNG, so the reliable layer reads the reverse link's loss
+// rate here and draws ack loss from its own substream.
 func (n *Network) chanFor(src, dst string) *chanState {
 	if !n.hasChans {
 		return nil
@@ -870,30 +845,6 @@ func (n *Network) chanFor(src, dst string) *chanState {
 	}
 	n.chans[k] = ch
 	return ch
-}
-
-// sendMessage sends one logical message. Under Options.Reliable it first
-// registers the message with the link's reliable-channel state (sequence
-// number, pending entry, first retransmit timer); either way the physical
-// transmission goes through transmit.
-func (n *Network) sendMessage(src, dst, pred string, tup value.Tuple, cause prov.ID) {
-	n.sendMessageOpts(src, dst, pred, tup, cause, false)
-}
-
-// sendMessageOpts is sendMessage with the anti-entropy repair marker
-// (recorded in provenance so `fvn why` explains healed tuples).
-func (n *Network) sendMessageOpts(src, dst, pred string, tup value.Tuple, cause prov.ID, repair bool) {
-	var rseq int64
-	rel := false
-	if n.opts.Reliable {
-		rel = true
-		rs := n.relFor(src, dst)
-		rs.nextSeq++
-		rseq = rs.nextSeq
-		rs.pending[rseq] = &relPending{pred: pred, tup: tup, cause: cause, repair: repair, sentAt: n.now}
-		n.scheduleRetx(rs, rseq, 1)
-	}
-	n.transmit(src, dst, pred, tup, cause, nil, rel, rseq, 0, repair)
 }
 
 // queueRemote adds one tuple (or retraction) to the src→dst epoch batch:
@@ -923,9 +874,7 @@ func (n *Network) queueRemote(src, dst string, en msgEntry) {
 }
 
 // flushOutbox sends every pending epoch batch, one message per touched
-// link in first-touch order. A batch of exactly one plain tuple takes
-// the classic single-message path, so sparse traffic keeps its
-// pre-batching shape.
+// link in first-touch order.
 func (n *Network) flushOutbox() {
 	if len(n.outboxOrder) == 0 {
 		return
@@ -939,42 +888,36 @@ func (n *Network) flushOutbox() {
 			continue
 		}
 		i := strings.IndexByte(k, '|')
-		src, dst := k[:i], k[i+1:]
-		if len(entries) == 1 && !entries[0].del {
-			en := entries[0]
-			n.sendMessage(src, dst, en.pred, en.tup, en.cause)
-			continue
-		}
-		n.sendBatch(src, dst, entries)
+		n.send(k[:i], k[i+1:], entries, false)
 	}
 }
 
-// sendBatch transmits one epoch batch (several tuples and retractions
-// for one link) as a single message: one statistics entry, one fault
-// draw set, one reliable-channel sequence number. The first entry is
-// the representative for traces and retransmit bookkeeping.
-func (n *Network) sendBatch(src, dst string, entries []msgEntry) {
-	rep := entries[0]
+// send sends one logical message: a non-empty batch of entries over the
+// src→dst link, with one statistics entry, one fault draw set and, under
+// Options.Reliable, one sequence number. A reliable message is first
+// registered with the link's reliable-channel state (pending entry,
+// first retransmit timer); either way the physical transmission goes
+// through transmit. repair marks anti-entropy pulls, recorded in
+// provenance so `fvn why` explains healed tuples.
+func (n *Network) send(src, dst string, entries []msgEntry, repair bool) {
 	var rseq int64
-	rel := false
 	if n.opts.Reliable {
-		rel = true
 		rs := n.relFor(src, dst)
 		rs.nextSeq++
 		rseq = rs.nextSeq
-		rs.pending[rseq] = &relPending{pred: rep.pred, tup: rep.tup, cause: rep.cause, entries: entries, sentAt: n.now}
+		rs.pending[rseq] = &relPending{entries: entries, repair: repair, sentAt: n.now}
 		n.scheduleRetx(rs, rseq, 1)
 	}
-	n.transmit(src, dst, rep.pred, rep.tup, rep.cause, entries, rel, rseq, 0, false)
+	n.transmit(src, dst, entries, rseq, 0, repair)
 }
 
 // transmit applies the link's fault channel to one physical transmission:
 // duplication (each copy counts as sent and faces loss independently),
-// the legacy global LossRate, channel loss, delay jitter, and reordering
-// delay. Every scheduled copy is stamped with the link epoch so a later
-// link failure drops it in flight. Retransmissions re-enter here with
-// attempt > 0 and count as sent like any other copy.
-func (n *Network) transmit(src, dst, pred string, tup value.Tuple, cause prov.ID, entries []msgEntry, rel bool, rseq int64, attempt int, repair bool) {
+// loss, delay jitter, and reordering delay. Every scheduled copy is
+// stamped with the link epoch so a later link failure drops it in
+// flight. Retransmissions re-enter here with attempt > 0 and count as
+// sent like any other copy.
+func (n *Network) transmit(src, dst string, entries []msgEntry, rseq int64, attempt int, repair bool) {
 	ch := n.chanFor(src, dst)
 	copies := 1
 	if ch != nil && ch.cfg.Dup > 0 && ch.rng.Float64() < ch.cfg.Dup {
@@ -989,14 +932,10 @@ func (n *Network) transmit(src, dst, pred string, tup value.Tuple, cause prov.ID
 	for c := 0; c < copies; c++ {
 		n.nm.sent.Add(1)
 		if n.tracer != nil {
-			n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvMessageSent, From: src, To: dst, Pred: pred, Tuple: tup.String()})
-		}
-		if n.opts.LossRate > 0 && n.rand01() < n.opts.LossRate {
-			n.dropMessage(src, dst, pred, tup)
-			continue
+			n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvMessageSent, From: src, To: dst, Pred: entries[0].pred, Tuple: entries[0].tup.String()})
 		}
 		if ch != nil && ch.cfg.Loss > 0 && ch.rng.Float64() < ch.cfg.Loss {
-			n.dropMessage(src, dst, pred, tup)
+			n.dropMessage(src, dst, entries)
 			continue
 		}
 		delay := lat
@@ -1012,13 +951,9 @@ func (n *Network) transmit(src, dst, pred string, tup value.Tuple, cause prov.ID
 			at:      n.now + delay,
 			kind:    evMessage,
 			node:    dst,
-			pred:    pred,
-			tup:     tup,
 			from:    src,
 			epoch:   epoch,
 			direct:  direct,
-			cause:   cause,
-			rel:     rel,
 			repair:  repair,
 			rseq:    rseq,
 			attempt: attempt,
@@ -1027,10 +962,10 @@ func (n *Network) transmit(src, dst, pred string, tup value.Tuple, cause prov.ID
 	}
 }
 
-func (n *Network) dropMessage(src, dst, pred string, tup value.Tuple) {
+func (n *Network) dropMessage(src, dst string, entries []msgEntry) {
 	n.nm.dropped.Add(1)
 	if n.tracer != nil {
-		n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvMessageDropped, From: src, To: dst, Pred: pred, Tuple: tup.String()})
+		n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvMessageDropped, From: src, To: dst, Pred: entries[0].pred, Tuple: entries[0].tup.String()})
 	}
 }
 
@@ -1041,15 +976,15 @@ func (n *Network) dropMessage(src, dst, pred string, tup value.Tuple) {
 // partition).
 func (n *Network) arrivalDropped(e *event) bool {
 	if dst := n.nodes[e.node]; dst != nil && dst.down {
-		n.dropMessage(e.from, e.node, e.pred, e.tup)
+		n.dropMessage(e.from, e.node, e.entries)
 		return true
 	}
 	if e.direct && n.linkEpoch[e.from+"|"+e.node] != e.epoch {
-		n.dropMessage(e.from, e.node, e.pred, e.tup)
+		n.dropMessage(e.from, e.node, e.entries)
 		return true
 	}
 	if !n.reachable(e.from, e.node) {
-		n.dropMessage(e.from, e.node, e.pred, e.tup)
+		n.dropMessage(e.from, e.node, e.entries)
 		return true
 	}
 	return false
@@ -1305,55 +1240,42 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			var batch []update
 			var retracts []update
 			admit := func(ev *event) {
-				cause := ev.cause
-				if ev.kind == evMessage {
-					if n.arrivalDropped(ev) {
-						return
+				if ev.kind == evInject {
+					if !node.down {
+						batch = append(batch, update{ev.pred, ev.tup, ev.cause})
 					}
-					n.noteDelivered(ev)
-					if ev.rel && !n.relReceive(ev) {
-						return // duplicate suppressed (re-acked above)
-					}
-					if ev.entries != nil {
-						// Epoch batch: one message, many tuples. Every entry
-						// gets its own delivery edge; retractions are set
-						// aside and run after this instant's inserts, so a
-						// tuple that moves (retract+re-derive in one epoch)
-						// settles on the inserted value.
-						for _, en := range ev.entries {
-							lbl := en.pred
-							if ev.attempt > 0 {
-								lbl += "/retx"
-							}
-							if ev.repair {
-								lbl += "/repair"
-							}
-							c := n.prov.Message(ev.at, ev.from, ev.node, lbl, ev.epoch, int64(ev.seq), en.cause)
-							if en.del {
-								retracts = append(retracts, update{en.pred, en.tup, c})
-							} else {
-								batch = append(batch, update{en.pred, en.tup, c})
-							}
-						}
-						return
-					}
-					// The delivery edge is recorded even when the insert
-					// below turns out to be a no-op: the message crossing
-					// the link is a real causal event either way. Healed
-					// deliveries carry a marked label so `fvn why` shows
-					// how the tuple got there.
-					lbl := ev.pred
+					return
+				}
+				if n.arrivalDropped(ev) {
+					return
+				}
+				n.noteDelivered(ev)
+				if ev.rseq > 0 && !n.relReceive(ev) {
+					return // duplicate suppressed (re-acked above)
+				}
+				// One message, many tuples. Every entry gets its own
+				// delivery edge, recorded even when the insert below turns
+				// out to be a no-op: the message crossing the link is a
+				// real causal event either way. Healed deliveries carry a
+				// marked label so `fvn why` shows how the tuple got there.
+				// Retractions are set aside and run after this instant's
+				// inserts, so a tuple that moves (retract+re-derive in one
+				// epoch) settles on the inserted value.
+				for _, en := range ev.entries {
+					lbl := en.pred
 					if ev.attempt > 0 {
 						lbl += "/retx"
 					}
 					if ev.repair {
 						lbl += "/repair"
 					}
-					cause = n.prov.Message(ev.at, ev.from, ev.node, lbl, ev.epoch, int64(ev.seq), ev.cause)
-				} else if node.down {
-					return
+					c := n.prov.Message(ev.at, ev.from, ev.node, lbl, ev.epoch, int64(ev.seq), en.cause)
+					if en.del {
+						retracts = append(retracts, update{en.pred, en.tup, c})
+					} else {
+						batch = append(batch, update{en.pred, en.tup, c})
+					}
 				}
-				batch = append(batch, update{ev.pred, ev.tup, cause})
 			}
 			admit(e)
 			for n.queue.Len() > 0 {
@@ -1619,7 +1541,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 func (n *Network) noteDelivered(e *event) {
 	n.nm.delivered.Add(1)
 	if n.tracer != nil {
-		n.tracer.Emit(obs.Event{T: e.at, Kind: obs.EvMessageDelivered, Node: e.node, Pred: e.pred, Tuple: e.tup.String()})
+		n.tracer.Emit(obs.Event{T: e.at, Kind: obs.EvMessageDelivered, Node: e.node, Pred: e.entries[0].pred, Tuple: e.entries[0].tup.String()})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/ndlog"
 	"repro/internal/netgraph"
 	"repro/internal/obs"
@@ -17,10 +18,12 @@ func TestMessageConservationUnderLoss(t *testing.T) {
 	topo := netgraph.Line(5)
 	prog := ndlog.MustParse("pv", pathVectorSrc)
 	opts := DefaultOptions()
-	opts.LossRate = 0.2
 	opts.Seed = 7
 	net, err := NewNetwork(prog, topo, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.2}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run()
@@ -29,7 +32,7 @@ func TestMessageConservationUnderLoss(t *testing.T) {
 	}
 	s := res.Stats
 	if s.MessagesDropped == 0 {
-		t.Fatal("no messages dropped at LossRate 0.2 (test is vacuous)")
+		t.Fatal("no messages dropped at loss 0.2 (test is vacuous)")
 	}
 	if s.MessagesSent != s.MessagesDelivered+s.MessagesDropped {
 		t.Errorf("sent = %d, delivered %d + dropped %d = %d",
@@ -44,13 +47,15 @@ func TestTraceReconcilesWithStats(t *testing.T) {
 	topo := netgraph.Line(4)
 	prog := ndlog.MustParse("pv", pathVectorSrc)
 	opts := DefaultOptions()
-	opts.LossRate = 0.15
 	opts.Seed = 3
 	opts.Obs = obs.NewCollector()
 	ring := obs.NewRingSink(1 << 20)
 	opts.Trace = obs.NewTracer(ring)
 	net, err := NewNetwork(prog, topo, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.15}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run()

@@ -21,16 +21,12 @@ import (
 
 // --- reliable channels ------------------------------------------------------
 
-// relPending is one unacked message awaiting retransmission. entries is
-// non-nil for an epoch-batched message: the batch is retransmitted as a
-// unit (pred/tup/cause hold the representative first entry). sentAt is
-// the original send time, against which retransmissions age entries out.
+// relPending is one unacked message awaiting retransmission: its entries
+// are retransmitted as a unit. sentAt is the original send time, against
+// which retransmissions age entries out.
 type relPending struct {
-	pred    string
-	tup     value.Tuple
-	cause   prov.ID
-	repair  bool // anti-entropy pull (kept across retransmits for provenance)
 	entries []msgEntry
+	repair  bool // anti-entropy pull (kept across retransmits for provenance)
 	sentAt  float64
 }
 
@@ -76,19 +72,6 @@ func (n *Network) relFor(src, dst string) *relState {
 	return rs
 }
 
-// chanCfg resolves the noise configuration of the src→dst link without
-// touching the channel's PRNG (the reliable layer draws ack-loss from its
-// own substream).
-func (n *Network) chanCfg(src, dst string) faults.Channel {
-	if !n.hasChans {
-		return faults.Channel{}
-	}
-	if ov, ok := n.chanOverrides[src+"|"+dst]; ok {
-		return ov
-	}
-	return n.defaultChan
-}
-
 // scheduleRetx arms the retransmit timer for one pending message:
 // capped exponential backoff (retryBase·2^(attempt-1), capped at
 // retryCap) with uniform jitter in [0.5, 1.5) drawn from the link's
@@ -126,35 +109,28 @@ func (n *Network) relRetransmit(e *event) {
 		rs.gaveUp++
 		n.nm.relGiveUps.Add(1)
 		if n.tracer != nil {
-			n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvRelGiveUp, From: rs.src, To: rs.dst, Pred: p.pred, Tuple: p.tup.String(), N: e.rseq})
+			n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvRelGiveUp, From: rs.src, To: rs.dst, Pred: p.entries[0].pred, Tuple: p.entries[0].tup.String(), N: e.rseq})
 		}
 		return
 	}
 	rs.retx++
 	n.nm.retransmits.Add(1)
 	if n.tracer != nil {
-		n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvRetransmit, From: rs.src, To: rs.dst, Pred: p.pred, Tuple: p.tup.String(), N: int64(e.attempt)})
+		n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvRetransmit, From: rs.src, To: rs.dst, Pred: p.entries[0].pred, Tuple: p.entries[0].tup.String(), N: int64(e.attempt)})
 	}
-	n.transmit(rs.src, rs.dst, p.pred, p.tup, p.cause, p.entries, true, e.rseq, e.attempt, p.repair)
+	n.transmit(rs.src, rs.dst, p.entries, e.rseq, e.attempt, p.repair)
 	n.scheduleRetx(rs, e.rseq, e.attempt+1)
 }
 
 // relAgeOut drops the entries of p that have outlived their predicate's
 // soft-state lifetime since the original send, reporting whether any
-// entry is left. The entries slice is shared with copies already in
-// flight, so a shrunk batch gets a new one.
+// entry is left; p keeps its entries when none is. The entries slice is
+// shared with copies already in flight, so a shrunk batch gets a new one.
 func (n *Network) relAgeOut(p *relPending) bool {
 	age := n.now - p.sentAt
-	live := func(pred string) bool {
-		lt := n.lifetime(pred)
-		return lt <= 0 || age < lt
-	}
-	if p.entries == nil {
-		return live(p.pred)
-	}
 	var kept []msgEntry
 	for _, en := range p.entries {
-		if live(en.pred) {
+		if lt := n.lifetime(en.pred); lt <= 0 || age < lt {
 			kept = append(kept, en)
 		}
 	}
@@ -163,7 +139,6 @@ func (n *Network) relAgeOut(p *relPending) bool {
 	}
 	if len(kept) < len(p.entries) {
 		p.entries = kept
-		p.pred, p.tup, p.cause = kept[0].pred, kept[0].tup, kept[0].cause
 	}
 	return true
 }
@@ -175,8 +150,8 @@ func (n *Network) relAgeOut(p *relPending) bool {
 // the node's input batch.
 func (n *Network) relReceive(ev *event) bool {
 	rs := n.relFor(ev.from, ev.node)
-	cfg := n.chanCfg(ev.node, ev.from) // ack rides the reverse link
-	if cfg.Loss > 0 && rs.rng.Float64() < cfg.Loss {
+	// The ack rides the reverse link.
+	if ch := n.chanFor(ev.node, ev.from); ch != nil && ch.cfg.Loss > 0 && rs.rng.Float64() < ch.cfg.Loss {
 		n.nm.ackDrops.Add(1)
 	} else {
 		lat, _ := n.latency(ev.node, ev.from)
@@ -484,7 +459,7 @@ func (n *Network) antiEntropyNode(x *Node) error {
 					m[h] = true
 					pulls++
 					n.nm.repairPulls.Add(1)
-					n.sendMessageOpts(y.ID, x.ID, d.pred, d.tup, d.cause, true)
+					n.send(y.ID, x.ID, []msgEntry{{pred: d.pred, tup: d.tup, cause: d.cause}}, true)
 				}
 			}
 		}

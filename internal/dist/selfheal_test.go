@@ -83,7 +83,10 @@ func TestReliableChannelDeliversUnderLoss(t *testing.T) {
 // close exactly that gap — the same seed converges to the full truth.
 func TestReliableHealsWhatFireAndForgetLoses(t *testing.T) {
 	run := func(reliable bool) (int, int) {
-		net := mustNet(t, pathVectorSrc, netgraph.Ring(5), Options{Seed: 11, LoadTopologyLinks: true, LossRate: 0.2, Reliable: reliable})
+		net := mustNet(t, pathVectorSrc, netgraph.Ring(5), Options{Seed: 11, LoadTopologyLinks: true, Reliable: reliable})
+		if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: 0.2}}); err != nil {
+			t.Fatal(err)
+		}
 		r, err := net.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -331,14 +334,14 @@ r1 seen(@S,D) :- ad(@S,D).
 	net := mustNet(t, src, netgraph.Line(2), Options{Seed: 1, LoadTopologyLinks: true, Reliable: true})
 	tup := value.Tuple{value.Addr("n1"), value.Addr("n0")}
 	batch := []msgEntry{{pred: "ad", tup: tup}, {pred: "seen", tup: tup}}
-	p := &relPending{pred: "ad", tup: tup, entries: batch}
+	p := &relPending{entries: batch}
 
 	net.now = 9.5
 	if !net.relAgeOut(p) || len(p.entries) != 2 {
 		t.Fatalf("at age 9.5 of lifetime 10: kept %d entries, want 2", len(p.entries))
 	}
 	net.now = 10
-	if !net.relAgeOut(p) || len(p.entries) != 1 || p.pred != "seen" {
+	if !net.relAgeOut(p) || len(p.entries) != 1 || p.entries[0].pred != "seen" {
 		t.Fatalf("at age 10: kept %v, want only the hard-state entry", p.entries)
 	}
 	if batch[0].pred != "ad" || batch[1].pred != "seen" {
@@ -346,7 +349,7 @@ r1 seen(@S,D) :- ad(@S,D).
 	}
 
 	net.now = 0
-	net.sendMessage("n0", "n1", "ad", tup, 0)
+	net.send("n0", "n1", []msgEntry{{pred: "ad", tup: tup}}, false)
 	net.now = 10
 	net.relRetransmit(&event{kind: evRelRetx, from: "n0", node: "n1", rseq: 1, attempt: 1})
 	s := net.Stats()

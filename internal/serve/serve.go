@@ -646,7 +646,7 @@ type execRequest struct {
 	Topo    string  `json:"topo"`     // default ring:5
 	MaxTime float64 `json:"max_time"` // simulated-time bound (default 10000)
 	Seed    uint64  `json:"seed"`
-	Loss    float64 `json:"loss"`
+	Loss    float64 `json:"loss"` // per-link loss rate of the default fault channel
 }
 
 type execResult struct {
@@ -686,12 +686,14 @@ func (s *Server) runExec(ctx context.Context, body []byte, workers int, tracer *
 	}
 	net, err := p.Execute(mk(), dist.Options{
 		MaxTime:           maxTime,
-		LossRate:          req.Loss,
 		Seed:              req.Seed,
 		LoadTopologyLinks: true,
 		Trace:             tracer,
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := net.ApplyPlan(&faults.Plan{Default: faults.Channel{Loss: req.Loss}}); err != nil {
 		return nil, err
 	}
 	r, err := net.RunCtx(ctx)
