@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench perfbench-check chaos-smoke chaos-sweep determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fmt-check experiments
+.PHONY: all build vet test race bench perfbench-check chaos-smoke chaos-sweep determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fuzz-smoke fmt-check experiments
 
 all: vet build test
 
@@ -50,6 +50,12 @@ serve-smoke:
 
 scale-smoke:
 	$(GO) test -count=1 -run 'TestScaleISP10k|TestFatTreeConverges' -v -timeout 10m ./internal/dist/
+
+# Each fuzz target for 30 s beyond its seed corpus (which go test runs).
+# A crasher lands in the package's testdata/fuzz; keep it there.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/ndlog
+	$(GO) test -run '^$$' -fuzz '^FuzzTopoSpec$$' -fuzztime 30s ./internal/netgraph
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

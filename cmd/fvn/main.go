@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -349,43 +348,15 @@ func report(qed bool, theorem string, steps, prim int, auto float64, secs float6
 		status, theorem, steps, prim, auto*100, secs)
 }
 
-// parseTopo builds a topology from a spec like ring:5, grid:3 (3x3),
-// pa:10000 (preferential-attachment ISP-like graph), or fattree:8.
+// parseTopo builds the topology a spec like ring:5, grid:3 (3x3),
+// pa:10000 (preferential-attachment ISP-like graph) or fattree:8 names
+// (see netgraph.ParseSpec).
 func parseTopo(spec string) (*netgraph.Topology, error) {
-	parts := strings.SplitN(spec, ":", 2)
-	n := 4
-	if len(parts) == 2 {
-		v, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad topology size %q", parts[1])
-		}
-		n = v
+	s, err := netgraph.ParseSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	switch parts[0] {
-	case "line":
-		return netgraph.Line(n), nil
-	case "ring":
-		return netgraph.Ring(n), nil
-	case "grid":
-		return netgraph.Grid(n, n), nil
-	case "clique":
-		return netgraph.Clique(n), nil
-	case "star":
-		return netgraph.Star(n), nil
-	case "tree":
-		return netgraph.Tree(n), nil
-	case "rand":
-		return netgraph.RandomConnected(n, 0.1, 3, 1), nil
-	case "pa":
-		// Barabási–Albert preferential attachment, 2 links per new node:
-		// the ISP-like heavy-tailed degree graph of the scale tests.
-		return netgraph.PreferentialAttachment(n, 2, 7), nil
-	case "fattree":
-		// n is the fat-tree arity k (k=8: 80 switches + 128 hosts).
-		return netgraph.FatTree(n), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", parts[0])
-	}
+	return s.Build(), nil
 }
 
 func cmdRun(args []string) error {
@@ -537,19 +508,18 @@ func cmdChaos(args []string) error {
 	if of.Explain {
 		opts.Obs = obs.NewCollector()
 	}
+	spec, err := netgraph.ParseSpec(*topoSpec)
+	if err != nil {
+		return err
+	}
 	c := &dist.Campaign{
 		Source:   src,
-		Topo:     func() *netgraph.Topology { t, _ := parseTopo(*topoSpec); return t },
+		Topo:     spec.Build,
 		Runs:     *runs,
 		BaseSeed: *seed,
 		Gen:      gen,
 		Opts:     opts,
 		Prov:     of.Prov,
-	}
-	// Validate the topology spec up front; the campaign's Topo closure
-	// cannot surface a parse error.
-	if _, err := parseTopo(*topoSpec); err != nil {
-		return err
 	}
 
 	reportOne := func(rep *dist.ChaosReport) error {

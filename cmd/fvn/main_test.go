@@ -46,7 +46,9 @@ func TestParseTopo(t *testing.T) {
 			t.Errorf("parseTopo(%q) nodes = %d, want %d", tc.spec, len(topo.Nodes), tc.nodes)
 		}
 	}
-	for _, bad := range []string{"mobius:4", "ring:x"} {
+	// Sizes below 1 are refused before anything is built (pa:-1 used to
+	// panic in PreferentialAttachment).
+	for _, bad := range []string{"mobius:4", "ring:x", "pa:-1", "ring:0"} {
 		if _, err := parseTopo(bad); err == nil {
 			t.Errorf("parseTopo(%q) accepted", bad)
 		}

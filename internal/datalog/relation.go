@@ -7,11 +7,7 @@
 // plan executor.
 package datalog
 
-import (
-	"sort"
-
-	"repro/internal/store"
-)
+import "repro/internal/store"
 
 // Relation is a set of tuples of fixed arity with hash indexes built
 // lazily on column subsets. It is the shared store.Table specialized to
@@ -21,14 +17,4 @@ type Relation = store.Table
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
 	return store.New(name, arity, nil, 0)
-}
-
-// Names returns the sorted names of a relation map (helper for dumps).
-func Names(rels map[string]*Relation) []string {
-	out := make([]string, 0, len(rels))
-	for n := range rels {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -52,7 +52,6 @@ func runSeededOpts(t *testing.T, seed uint64, withPlan, selfHeal bool) (Result, 
 		opts.Reliable = true
 		opts.CheckpointEvery = 7
 		opts.AntiEntropy = true
-		opts.AntiEntropyEvery = 13
 	}
 	net, err := NewNetwork(ndlog.MustParse("pv", pathVectorSrc), netgraph.Ring(6), opts)
 	if err != nil {

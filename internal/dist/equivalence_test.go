@@ -366,11 +366,11 @@ func TestGeneratedProgramsSurviveCrashRestart(t *testing.T) {
 // oracle for the full self-healing stack: on random connected topologies
 // under randomly generated fault plans (noisy channels, flaps, a healed
 // partition, crash/restart cycles — every fault guaranteed to heal), the
-// path-vector protocol with reliable channels, checkpoints, and periodic
+// path-vector protocol with reliable channels, checkpoints, and
 // anti-entropy must converge to the same bestPathCost relation as a
 // fault-free run on the same topology. Reliable delivery caps what loss
-// can destroy, checkpoints restore base facts, and anti-entropy sweeps
-// repair the rare give-up, so no refresh waves are needed.
+// can destroy, checkpoints restore base facts, and anti-entropy repairs
+// restarted nodes and healed partitions, so no refresh waves are needed.
 func TestReliableCrashRestartMatchesFaultFreeOracleQuick(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		topo := netgraph.RandomConnected(5, 0.1, 3, seed+1)
@@ -398,7 +398,6 @@ func TestReliableCrashRestartMatchesFaultFreeOracleQuick(t *testing.T) {
 			Reliable:          true,
 			CheckpointEvery:   10,
 			AntiEntropy:       true,
-			AntiEntropyEvery:  15,
 		})
 		if err != nil {
 			t.Fatal(err)

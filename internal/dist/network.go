@@ -77,9 +77,7 @@ type Options struct {
 	// node and partition-heal endpoint: per-relation value.Hash64
 	// fingerprints let the node pull exactly its missing tuples from
 	// neighbors instead of waiting out the refresh staircase.
-	// AntiEntropyEvery > 0 additionally sweeps all live nodes periodically.
-	AntiEntropy      bool
-	AntiEntropyEvery float64
+	AntiEntropy bool
 }
 
 // DefaultOptions returns reasonable simulation settings.
@@ -237,12 +235,6 @@ type Network struct {
 	// exactly the complement (base tables). See selfheal.go.
 	rel     map[string]*relState
 	derived map[string]bool
-	// maint counts the periodic maintenance events (checkpoint ticks and
-	// anti-entropy sweeps) currently in the queue. A tick re-arms itself
-	// only while the queue holds events beyond those — otherwise two
-	// periodic timers would keep each other alive and the run would never
-	// quiesce.
-	maint int
 
 	// linkEpoch counts the failures of each directed link. Messages in
 	// flight across a link are stamped with the epoch at send time and
@@ -352,11 +344,6 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 	}
 	if opts.CheckpointEvery > 0 {
 		n.schedule(&event{at: opts.CheckpointEvery, kind: evCheckpoint})
-		n.maint++
-	}
-	if opts.AntiEntropy && opts.AntiEntropyEvery > 0 {
-		n.schedule(&event{at: opts.AntiEntropyEvery, kind: evAntiEntropy})
-		n.maint++
 	}
 
 	// Program facts go to their declared locations.
@@ -517,7 +504,7 @@ const (
 	evRelRetx     // retransmit timer for one unacked reliable message
 	evAck         // ack travelling back to the sender
 	evCheckpoint  // periodic base-table snapshot of every live node
-	evAntiEntropy // repair round for one node ("" = sweep all live nodes)
+	evAntiEntropy // repair round for one node
 )
 
 type event struct {
@@ -1313,8 +1300,10 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 		case evCheckpoint:
 			n.checkpointTick()
 		case evAntiEntropy:
-			if err := n.antiEntropyEvent(e); err != nil {
-				return Result{}, err
+			if node := n.nodes[e.node]; node != nil && !node.down {
+				if err := n.antiEntropyNode(node); err != nil {
+					return Result{}, err
+				}
 			}
 		case evRefresh:
 			// New wave: every (node, pred, key) may refresh-fire once more.

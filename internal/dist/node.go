@@ -236,8 +236,7 @@ func (n *Node) aggSeeds(r *ndlog.Rule, pred string, tup value.Tuple) ([]map[stri
 			continue
 		}
 		env := map[string]value.V{}
-		_, ok, err := matchAtom(l.Atom, tup, env)
-		if err != nil || !ok {
+		if _, ok := ndlog.MatchAtom(l.Atom, tup, env); !ok {
 			continue
 		}
 		relevant = true
@@ -660,50 +659,4 @@ func (n *Node) retractAggGroup(r *ndlog.Rule, aggIdx int, seed map[string]value.
 		return nil, nil
 	}
 	return n.lossCandidates(r.Head.Pred, old, 0)
-}
-
-// matchAtom matches a stored tuple against an atom's argument patterns,
-// extending env with bindings for unbound variables. The runtime's joins
-// run through the compiled plans; this interpreted matcher remains for
-// aggSeeds, which matches one tuple against one atom outside any plan.
-func matchAtom(atom *ndlog.Atom, tup value.Tuple, env map[string]value.V) ([]string, bool, error) {
-	if len(tup) != len(atom.Args) {
-		return nil, false, fmt.Errorf("dist: %s arity mismatch", atom.Pred)
-	}
-	var bound []string
-	fail := func() ([]string, bool, error) {
-		for _, name := range bound {
-			delete(env, name)
-		}
-		return nil, false, nil
-	}
-	for i, arg := range atom.Args {
-		switch x := arg.(type) {
-		case ndlog.VarE:
-			if v, ok := env[x.Name]; ok {
-				if !v.Equal(tup[i]) {
-					return fail()
-				}
-			} else {
-				env[x.Name] = tup[i]
-				bound = append(bound, x.Name)
-			}
-		case ndlog.LitE:
-			if !x.Val.Equal(tup[i]) {
-				return fail()
-			}
-		default:
-			v, err := ndlog.EvalExpr(arg, env)
-			if err != nil {
-				for _, name := range bound {
-					delete(env, name)
-				}
-				return nil, false, err
-			}
-			if !v.Equal(tup[i]) {
-				return fail()
-			}
-		}
-	}
-	return bound, true, nil
 }

@@ -270,10 +270,8 @@ func (n *Network) checkpointTick() {
 		}
 		n.checkpointNode(node)
 	}
-	n.maint--
-	if n.queue.Len() > n.maint {
+	if n.queue.Len() > 0 {
 		n.schedule(&event{at: n.now + n.opts.CheckpointEvery, kind: evCheckpoint})
-		n.maint++
 	}
 }
 
@@ -365,38 +363,9 @@ func (n *Network) CheckpointAge() float64 {
 
 // --- anti-entropy repair ----------------------------------------------------
 
-// scheduleRepair schedules one anti-entropy round for a node (or, with an
-// empty id, a sweep over every live node).
+// scheduleRepair schedules one anti-entropy round for a node.
 func (n *Network) scheduleRepair(id string, at float64) {
 	n.schedule(&event{at: at, kind: evAntiEntropy, node: id})
-}
-
-// antiEntropyEvent dispatches an evAntiEntropy event: a targeted round
-// for one node, or a periodic sweep (re-armed only while other events
-// remain, like checkpoints).
-func (n *Network) antiEntropyEvent(e *event) error {
-	if e.node != "" {
-		node := n.nodes[e.node]
-		if node == nil || node.down {
-			return nil
-		}
-		return n.antiEntropyNode(node)
-	}
-	n.maint--
-	for _, id := range n.topo.Nodes {
-		node := n.nodes[id]
-		if node == nil || node.down {
-			continue
-		}
-		if err := n.antiEntropyNode(node); err != nil {
-			return err
-		}
-	}
-	if n.opts.AntiEntropyEvery > 0 && n.queue.Len() > n.maint {
-		n.schedule(&event{at: n.now + n.opts.AntiEntropyEvery, kind: evAntiEntropy})
-		n.maint++
-	}
-	return nil
 }
 
 // antiEntropyNode runs one digest-exchange round for node x: each live

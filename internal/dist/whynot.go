@@ -188,8 +188,8 @@ func (n *Network) searchBody(nd *Node, r *ndlog.Rule, tup value.Tuple, i int, en
 		}
 		matched := false
 		for _, cand := range t.Sorted() {
-			bound, ok, err := matchAtom(l.Atom, cand, env)
-			if err != nil || !ok {
+			bound, ok := ndlog.MatchAtom(l.Atom, cand, env)
+			if !ok {
 				continue
 			}
 			matched = true
@@ -207,11 +207,11 @@ func (n *Network) searchBody(nd *Node, r *ndlog.Rule, tup value.Tuple, i int, en
 	case l.Atom != nil && l.Neg:
 		if t := nd.tables[l.Atom.Pred]; t != nil {
 			for _, cand := range t.Sorted() {
-				bound, ok, err := matchAtom(l.Atom, cand, env)
+				bound, ok := ndlog.MatchAtom(l.Atom, cand, env)
 				for _, name := range bound {
 					delete(env, name)
 				}
-				if err == nil && ok {
+				if ok {
 					note(fmt.Sprintf("blocked by negation !%s: %s%s exists at %s", l.Atom, l.Atom.Pred, cand, nd.ID))
 					return false
 				}

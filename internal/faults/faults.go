@@ -235,7 +235,7 @@ func (p *Plan) Validate(topo *netgraph.Topology) error {
 			name string
 			v    float64
 		}{{"loss", c.Loss}, {"dup", c.Dup}, {"reorder", c.Reorder}} {
-			if pr.v < 0 || pr.v > 1 {
+			if !(pr.v >= 0 && pr.v <= 1) { // NaN too
 				return fmt.Errorf("faults: %s %s=%v outside [0,1]", what, pr.name, pr.v)
 			}
 		}

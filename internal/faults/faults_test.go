@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -129,6 +130,7 @@ func TestPlanValidate(t *testing.T) {
 	}
 	for _, bad := range []*Plan{
 		{Default: Channel{Loss: 1.5}},
+		{Default: Channel{Dup: math.NaN()}}, // fvn run -dup NaN
 		{Links: []LinkFault{{A: "n0", B: "zzz"}}},
 		{Links: []LinkFault{{A: "n0", B: "n2"}}}, // not a ring link
 		{Nodes: []NodeFault{{Node: "ghost", Crash: 1}}},

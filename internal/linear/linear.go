@@ -261,7 +261,7 @@ func (t TS) fire(cur *state, r *Rule, emit func(*state)) {
 				if t.Sys.Linear[l.Atom.Pred] && exceedsMultiplicity(cur, matched, f) {
 					continue
 				}
-				bound, ok := matchAtom(l.Atom, f.Args, env)
+				bound, ok := ndlog.MatchAtom(l.Atom, f.Args, env)
 				if !ok {
 					continue
 				}
@@ -274,7 +274,7 @@ func (t TS) fire(cur *state, r *Rule, emit func(*state)) {
 			}
 		case l.Atom != nil && l.Neg:
 			for _, f := range cur.factsOf(l.Atom.Pred) {
-				if bound, ok := matchAtom(l.Atom, f.Args, env); ok {
+				if bound, ok := ndlog.MatchAtom(l.Atom, f.Args, env); ok {
 					for _, name := range bound {
 						delete(env, name)
 					}
@@ -375,43 +375,4 @@ func removeByKey(s *state, pred string, keys []int, tup value.Tuple) {
 			delete(s.facts, k)
 		}
 	}
-}
-
-// matchAtom matches a tuple against atom argument patterns, binding fresh
-// variables into env; it returns the bound names and success. On failure
-// all its bindings are undone; on success the caller undoes them.
-func matchAtom(atom *ndlog.Atom, tup value.Tuple, env map[string]value.V) ([]string, bool) {
-	if len(tup) != len(atom.Args) {
-		return nil, false
-	}
-	var bound []string
-	fail := func() ([]string, bool) {
-		for _, n := range bound {
-			delete(env, n)
-		}
-		return nil, false
-	}
-	for i, arg := range atom.Args {
-		switch x := arg.(type) {
-		case ndlog.VarE:
-			if v, ok := env[x.Name]; ok {
-				if !v.Equal(tup[i]) {
-					return fail()
-				}
-			} else {
-				env[x.Name] = tup[i]
-				bound = append(bound, x.Name)
-			}
-		case ndlog.LitE:
-			if !x.Val.Equal(tup[i]) {
-				return fail()
-			}
-		default:
-			v, err := ndlog.EvalExpr(arg, env)
-			if err != nil || !v.Equal(tup[i]) {
-				return fail()
-			}
-		}
-	}
-	return bound, true
 }

@@ -89,18 +89,6 @@ func Solve(a Algebra, t LabeledTopo, dest string, maxRounds int) SolveResult {
 	return SolveResult{Sigs: cur, Converged: false, Rounds: maxRounds}
 }
 
-// SolveAllPairs runs Solve toward every destination.
-func SolveAllPairs(a Algebra, t LabeledTopo, maxRounds int) (map[string]SolveResult, bool) {
-	out := map[string]SolveResult{}
-	all := true
-	for _, d := range t.Nodes {
-		r := Solve(a, t, d, maxRounds)
-		out[d] = r
-		all = all && r.Converged
-	}
-	return out, all
-}
-
 // String renders a solution deterministically.
 func (s Solution) String() string {
 	keys := make([]string, 0, len(s))

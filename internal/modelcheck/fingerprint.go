@@ -16,9 +16,6 @@ const (
 // NewFP returns the FNV-1a offset basis.
 func NewFP() FP { return fnvOffset }
 
-// Byte mixes one byte.
-func (f FP) Byte(b byte) FP { return (f ^ FP(b)) * fnvPrime }
-
 // Uint64 mixes a 64-bit value (little-endian byte order).
 func (f FP) Uint64(v uint64) FP {
 	for i := 0; i < 8; i++ {

@@ -499,3 +499,46 @@ func EvalExpr(e Expr, env map[string]value.V) (value.V, error) {
 	}
 	return value.V{}, fmt.Errorf("ndlog: unknown expression")
 }
+
+// MatchAtom matches a tuple against an atom's argument patterns, binding
+// the atom's unbound variables into env; it returns the names it bound
+// and whether the tuple matched. A tuple of the wrong arity, or an
+// argument expression that cannot be evaluated, does not match. On
+// failure every binding it made is undone; on success the caller undoes
+// them. This is the interpreted matcher for code that matches one tuple
+// outside any compiled plan.
+func MatchAtom(atom *Atom, tup value.Tuple, env map[string]value.V) ([]string, bool) {
+	if len(tup) != len(atom.Args) {
+		return nil, false
+	}
+	var bound []string
+	fail := func() ([]string, bool) {
+		for _, name := range bound {
+			delete(env, name)
+		}
+		return nil, false
+	}
+	for i, arg := range atom.Args {
+		switch x := arg.(type) {
+		case VarE:
+			if v, ok := env[x.Name]; ok {
+				if !v.Equal(tup[i]) {
+					return fail()
+				}
+			} else {
+				env[x.Name] = tup[i]
+				bound = append(bound, x.Name)
+			}
+		case LitE:
+			if !x.Val.Equal(tup[i]) {
+				return fail()
+			}
+		default:
+			v, err := EvalExpr(arg, env)
+			if err != nil || !v.Equal(tup[i]) {
+				return fail()
+			}
+		}
+	}
+	return bound, true
+}

@@ -168,14 +168,6 @@ func (r *Recorder) Ants(id ID) []ID {
 	return r.ants[e.antOff : e.antOff+int32(e.antLen)]
 }
 
-// Faults returns every KindFault entry recorded so far, in order.
-func (r *Recorder) Faults() []ID {
-	if r == nil {
-		return nil
-	}
-	return r.faults
-}
-
 // RetractionOf returns the KindRetract entry that removed the given
 // tuple version, if any.
 func (r *Recorder) RetractionOf(id ID) (ID, bool) {

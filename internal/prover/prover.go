@@ -208,12 +208,6 @@ func (p *Prover) freshSkolem(base string, avoid map[string]bool) logic.Term {
 	}
 }
 
-// Sk returns the term for the i-th skolem constant generated from variable
-// base (1-based), for use in Inst calls from proof scripts.
-func Sk(base string, i int) logic.Term {
-	return logic.App{Fn: base + "!" + strconv.Itoa(i)}
-}
-
 // --- primitive simplification -------------------------------------------
 
 // flattenOnce applies one round of non-branching sequent rules to g.

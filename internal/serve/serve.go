@@ -19,8 +19,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -325,7 +327,9 @@ func (ss *streamSink) Close() error { return nil }
 type runner func(ctx context.Context, body []byte, workers int, tracer *obs.Tracer) (any, error)
 
 // job wraps a runner with the shared lifecycle: admission, context
-// derivation, streaming setup, and the response envelope.
+// derivation, streaming setup, and the response envelope. A runner that
+// panics is answered 500 (in stream mode, a final error line) with its
+// stack logged, instead of a dropped connection.
 func (s *Server) job(kind string, run runner) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, ok := s.admit(w, r)
@@ -368,6 +372,19 @@ func (s *Server) job(kind string, run runner) http.HandlerFunc {
 		}
 
 		id := s.jobID.Add(1)
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			log.Printf("serve: %s job %d panicked: %v\n%s", kind, id, p, debug.Stack())
+			msg := fmt.Sprintf("%s job panicked: %v", kind, p)
+			if req.Stream {
+				writeJSONLine(w, map[string]any{"job": id, "kind": kind, "error": msg})
+				return
+			}
+			http.Error(w, msg, http.StatusInternalServerError)
+		}()
 		start := time.Now()
 		payload, err := run(ctx, body, req.Workers, tracer)
 		if err == nil {
@@ -709,45 +726,26 @@ func (s *Server) runExec(ctx context.Context, body []byte, workers int, tracer *
 	}, nil
 }
 
-// topoBuilder parses a topology spec like ring:6 into a fresh-topology
-// constructor (each chaos run mutates its own copy).
-func topoBuilder(spec string) (func() *netgraph.Topology, error) {
-	name, sizeStr, found := cutColon(spec)
-	n := 4
-	if found {
-		v, err := strconv.Atoi(sizeStr)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad topology size %q", sizeStr)
-		}
-		n = v
-	}
-	var mk func(int) *netgraph.Topology
-	switch name {
-	case "line":
-		mk = netgraph.Line
-	case "ring":
-		mk = netgraph.Ring
-	case "grid":
-		mk = func(n int) *netgraph.Topology { return netgraph.Grid(n, n) }
-	case "clique":
-		mk = netgraph.Clique
-	case "star":
-		mk = netgraph.Star
-	case "tree":
-		mk = netgraph.Tree
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
-	}
-	return func() *netgraph.Topology { return mk(n) }, nil
-}
+// Bounds on a request's topology, checked before anything is built: the
+// benchmark's largest graph has 10^4 nodes.
+const (
+	maxTopoNodes = 10_000
+	maxTopoLinks = 100_000
+)
 
-func cutColon(s string) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			return s[:i], s[i+1:], true
-		}
+// topoBuilder parses a topology spec like ring:6 into a fresh-topology
+// constructor (each chaos run mutates its own copy), refusing a graph
+// that could exceed the request bounds.
+func topoBuilder(spec string) (func() *netgraph.Topology, error) {
+	s, err := netgraph.ParseSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	return s, "", false
+	if s.Nodes > maxTopoNodes || s.Links > maxTopoLinks {
+		return nil, fmt.Errorf("topology %s has %d nodes and up to %d links; requests are bounded to %d and %d",
+			spec, s.Nodes, s.Links, maxTopoNodes, maxTopoLinks)
+	}
+	return s.Build, nil
 }
 
 // --- health and status -------------------------------------------------------

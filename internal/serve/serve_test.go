@@ -9,10 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -142,6 +145,99 @@ b2 bestPath(@S,D,P,C) :- link(@S,D,C), P=f_init(S,D).`,
 		if code, env := post(t, ts.URL, "/chaos", string(body)); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (envelope %v)", name, code, env)
 		}
+	}
+}
+
+// TestRunRefusesLossOutsideUnitInterval: /run's loss is the per-link
+// loss rate of the plan's default channel, so a rate outside [0,1] is
+// refused with 400, and a rate inside it still runs to convergence.
+func TestRunRefusesLossOutsideUnitInterval(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, loss := range []string{"1.5", "-0.1"} {
+		if code, env := post(t, ts.URL, "/run", `{"loss": `+loss+`}`); code != http.StatusBadRequest {
+			t.Errorf("loss %s: status %d, want 400 (envelope %v)", loss, code, env)
+		}
+	}
+	code, env := post(t, ts.URL, "/run", `{"loss": 0.2, "seed": 3}`)
+	if code != http.StatusOK {
+		t.Fatalf("loss 0.2: status %d", code)
+	}
+	if res := result(t, env); res["converged"] != true {
+		t.Errorf("loss 0.2: run did not converge: %v", res)
+	}
+}
+
+// TestOversizedTopologyRefusedBeforeBuild: a topology spec whose graph
+// could exceed the request bounds (10^4 nodes, 10^5 directed links) is
+// refused with 400 from its reported size alone, before any graph is
+// built: the refusal allocates far less than the graph would.
+func TestOversizedTopologyRefusedBeforeBuild(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct{ path, topo string }{
+		{"/run", "ring:20000"}, // 2*10^4 nodes
+		{"/run", "clique:400"}, // 159,600 links
+		{"/chaos", "grid:101"}, // 10,201 nodes
+		{"/chaos", "rand:317"}, // up to 100,172 links
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, env := post(t, ts.URL, tc.path, `{"topo": "`+tc.topo+`", "timeout_ms": 100}`)
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (envelope %v)", tc.path, tc.topo, code, env)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s %s: refusal allocated %d bytes", tc.path, tc.topo, alloc)
+		}
+	}
+}
+
+// TestRunnerPanicAnswers500: a runner that panics is answered 500 with
+// the panic value, or in stream mode with a final error line, instead of
+// a dropped connection. The job still releases its execution slot (the
+// single slot serves the second request) and its job count (shutdown
+// drains).
+func TestRunnerPanicAnswers500(t *testing.T) {
+	s, err := New(Options{MaxConcurrent: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.job("boom", func(context.Context, []byte, int, *obs.Tracer) (any, error) {
+		panic("kaboom")
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	})
+	for _, query := range []string{"", "?stream=1"} {
+		resp, err := http.Post(ts.URL+query, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatalf("POST %q: %v", query, err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if query == "" {
+			if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "kaboom") {
+				t.Errorf("status %d body %q, want 500 naming the panic", resp.StatusCode, b)
+			}
+			continue
+		}
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		var last map[string]any
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("stream: last line %q: %v", lines[len(lines)-1], err)
+		}
+		if msg, _ := last["error"].(string); !strings.Contains(msg, "kaboom") {
+			t.Errorf("stream: final line %v, want an error naming the panic", last)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown after the panicking jobs: %v", err)
 	}
 }
 
