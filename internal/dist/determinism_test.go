@@ -83,9 +83,8 @@ func runSeededOpts(t *testing.T, seed uint64, withPlan, selfHeal bool) (Result, 
 // TestSameSeedRunsBitForBitReproducible pins the determinism contract:
 // every remaining source of randomness in the distributed runtime — the
 // seeded scan shuffle and each fault channel's own substream — derives
-// from Options.Seed, so two runs with equal
-// seeds must produce identical statistics and identical trace streams,
-// event for event. The withPlan variant repeats the check under a full
+// from Options.Seed, so two runs with equal seeds must produce identical
+// statistics and identical trace streams, event for event. The withPlan variant repeats the check under a full
 // fault plan (noisy channels, a flap, a crash/restart, a partition with
 // heal, refresh waves).
 func TestSameSeedRunsBitForBitReproducible(t *testing.T) {
